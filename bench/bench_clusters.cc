@@ -71,7 +71,7 @@ void RunThreadSweep() {
 
   std::printf("%-9s %-10s %-12s %-10s %-9s %-11s %-10s\n", "threads",
               "wall_ms", "tuples/s", "speedup", "matches", "identical",
-              "queue_hw");
+              "workers");
   double base_ms = 0;
   std::string base_rows;
   for (int threads : {1, 2, 4, 8}) {
@@ -95,17 +95,14 @@ void RunThreadSweep() {
       base_ms = ms;
       base_rows = rows;
     }
-    int64_t queue_hw = 0;
-    for (const ShardStats& s : r->shard_stats) {
-      queue_hw = std::max(queue_hw, s.queue_high_water);
-    }
+    const size_t workers = std::max<size_t>(1, r->shard_stats.size());
     std::printf("%-9d %-10.2f %-12.0f %-10.2f %-9lld %-11s %-10lld\n",
                 threads, ms,
                 static_cast<double>(t.num_rows()) * 1000.0 / ms,
                 base_ms / ms,
                 static_cast<long long>(r->stats.matches),
                 rows == base_rows ? "yes" : "NO",
-                static_cast<long long>(queue_hw));
+                static_cast<long long>(workers));
   }
 }
 

@@ -1,16 +1,14 @@
 #include "colstore/columnar_executor.h"
 
-#include <algorithm>
-#include <atomic>
 #include <cctype>
 #include <memory>
 #include <numeric>
-#include <thread>
 
 #include "analysis/linter.h"
 #include "colstore/probe_planner.h"
 #include "colstore/zone_skip.h"
 #include "engine/explain.h"
+#include "engine/scan_driver.h"
 #include "engine/vectorized_eval.h"
 
 namespace sqlts {
@@ -78,7 +76,7 @@ StatusOr<bool> ClusterKeyAccepted(const CompiledQuery& query,
 struct FastPathState {
   ColumnarReader* reader;
   const ColumnarFooter* footer;
-  const ColumnarExecOptions* options;
+  const ExecOptions* options;
   const ProbePlan* pplan;
   const PatternPlan* plan;
   const ZoneSkipper* skipper;        // null when skipping disabled
@@ -86,14 +84,16 @@ struct FastPathState {
   std::vector<int> cluster_cols;
 };
 
-/// Matches one cluster: filter by key, skip refuted clusters/blocks,
-/// decode kept segments, search each independently.  `remaining`, when
-/// non-null, carries the LIMIT budget (sequential execution only).
-Status RunCluster(const FastPathState& st, int ci, std::vector<Row>* rows,
-                  SearchStats* stats, KernelScratch* scratch,
-                  int64_t* remaining) {
+/// The columnar definition of a scan cluster: filter by key, skip
+/// refuted clusters/blocks, decode kept segments, search each
+/// independently.  `budget` is the scan driver's match budget (0 =
+/// unlimited).
+Status RunCluster(const FastPathState& st, int ci, int64_t budget,
+                  KernelScratch* scratch, ClusterOutput* out) {
   const ClusterMeta& cm = st.footer->clusters[ci];
   const CompiledQuery& query = st.pplan->query;
+  SearchStats* stats = &out->stats[0];
+  out->tuples = cm.row_count;
   SQLTS_ASSIGN_OR_RETURN(
       bool accepted,
       ClusterKeyAccepted(query, st.footer->schema, st.cluster_cols, cm.key));
@@ -112,13 +112,14 @@ Status RunCluster(const FastPathState& st, int ci, std::vector<Row>* rows,
     return Status::OK();
   }
 
+  const bool limited = budget > 0;
   for (int b = 0; b < cm.num_blocks;) {
     if (dec.skip_block[b]) {
       ++stats->blocks_skipped;
       ++b;
       continue;
     }
-    if (remaining != nullptr && *remaining <= 0) return Status::OK();
+    if (limited && budget <= 0) return Status::OK();
     int eb = b;
     while (eb + 1 < cm.num_blocks && !dec.skip_block[eb + 1]) ++eb;
     SQLTS_ASSIGN_OR_RETURN(
@@ -129,7 +130,8 @@ Status RunCluster(const FastPathState& st, int ci, std::vector<Row>* rows,
     SequenceView seq(&segment, std::move(idx));
 
     SearchOptions sopts;
-    sopts.governance = &st.options->exec.governance;
+    sopts.governance = &st.options->governance;
+    sopts.max_matches = budget;
     // Verdict caches are per absolute position, so each decoded
     // segment (its own SequenceView) gets a fresh evaluator.
     std::unique_ptr<ElementEvaluator> vec_eval;
@@ -142,20 +144,11 @@ Status RunCluster(const FastPathState& st, int ci, std::vector<Row>* rows,
       candidates = BuildCandidates(*st.pplan, seq, scratch);
       sopts.candidate_starts = &candidates;
     }
-    if (remaining != nullptr) sopts.max_matches = *remaining;
 
-    SearchStats sstats;
-    std::vector<Match> matches =
-        st.options->exec.algorithm == SearchAlgorithm::kOps
-            ? OpsSearch(seq, *st.plan, &sstats, nullptr, sopts)
-            : NaiveSearch(seq, *st.plan, &sstats, nullptr, sopts);
-    *stats += sstats;
-    if (remaining != nullptr) {
-      *remaining -= static_cast<int64_t>(matches.size());
-    }
-    for (const Match& match : matches) {
-      rows->push_back(ProjectMatch(query, seq, match));
-    }
+    const size_t before = out->rows[0].size();
+    SearchAndProject(query, *st.plan, seq, st.options->algorithm, sopts,
+                     stats, &out->rows[0]);
+    if (limited) budget -= static_cast<int64_t>(out->rows[0].size() - before);
     b = eb + 1;
   }
   return Status::OK();
@@ -177,15 +170,7 @@ StatusOr<QueryResult> ColumnarExecutor::Execute(
   const ColumnarFooter& footer = reader.footer();
   SQLTS_ASSIGN_OR_RETURN(CompiledQuery query,
                          CompileQueryText(query_text, footer.schema));
-  if (options.exec.compile.refuse_provably_empty) {
-    LintOptions lint_options;
-    lint_options.oracle = options.exec.compile.oracle;
-    LintResult lint = LintQuery(query, lint_options);
-    if (lint.has_errors()) {
-      return Status::InvalidArgument("query is provably empty: " +
-                                     SummarizeErrors(lint));
-    }
-  }
+  SQLTS_RETURN_IF_ERROR(RefuseProvablyEmpty(query, options.exec.compile));
 
   const int64_t bytes_before = reader.bytes_read();
   const bool fast = footer.clustered &&
@@ -242,72 +227,21 @@ StatusOr<QueryResult> ColumnarExecutor::Execute(
                                        : "zone skipping: off") +
                    "\n";
   }
-  if (pplan.query.limit_zero) return result;
-
-  FastPathState st{&reader,       &footer,   &options, &pplan,
-                   &plan,         skipper.get(), vec.get(), {}};
+  FastPathState st{&reader, &footer,      &options.exec, &pplan,
+                   &plan,   skipper.get(), vec.get(),     {}};
   for (const std::string& name : footer.cluster_by) {
     SQLTS_ASSIGN_OR_RETURN(int col, footer.schema.FindColumn(name));
     st.cluster_cols.push_back(col);
   }
 
-  const bool sharded = options.exec.num_threads > 1 && num_clusters > 1 &&
-                       pplan.query.limit <= 0;
-  if (!sharded) {
-    KernelScratch scratch;
-    int64_t remaining = pplan.query.limit;
-    int64_t* budget = pplan.query.limit > 0 ? &remaining : nullptr;
-    for (int ci = 0; ci < num_clusters; ++ci) {
-      if (budget != nullptr && *budget <= 0) break;
-      std::vector<Row> rows;
-      SQLTS_RETURN_IF_ERROR(
-          RunCluster(st, ci, &rows, &result.stats, &scratch, budget));
-      for (Row& row : rows) {
-        SQLTS_RETURN_IF_ERROR(result.output.AppendRow(std::move(row)));
-      }
-      SQLTS_RETURN_IF_ERROR(options.exec.governance.Check());
-    }
-    result.stats.bytes_read += reader.bytes_read() - bytes_before;
-    return result;
-  }
-
-  // Parallel path: workers claim whole clusters; outputs are indexed by
-  // cluster and merged in footer (first-appearance) order, so rows and
-  // summed stats are deterministic regardless of scheduling.
-  const int num_workers =
-      std::min(options.exec.num_threads, num_clusters);
-  std::vector<std::vector<Row>> cluster_rows(num_clusters);
-  std::vector<SearchStats> cluster_stats(num_clusters);
-  std::vector<Status> worker_status(num_workers, Status::OK());
-  std::atomic<int> next{0};
-  {
-    std::vector<std::thread> workers;
-    workers.reserve(num_workers);
-    for (int w = 0; w < num_workers; ++w) {
-      workers.emplace_back([&, w] {
-        KernelScratch scratch;
-        int ci;
-        while ((ci = next.fetch_add(1)) < num_clusters) {
-          if (!options.exec.governance.Check().ok()) return;
-          Status s = RunCluster(st, ci, &cluster_rows[ci],
-                                &cluster_stats[ci], &scratch, nullptr);
-          if (!s.ok()) {
-            worker_status[w] = std::move(s);
-            return;
-          }
-        }
-      });
-    }
-    for (std::thread& t : workers) t.join();
-  }
-  for (const Status& s : worker_status) SQLTS_RETURN_IF_ERROR(s);
-  SQLTS_RETURN_IF_ERROR(options.exec.governance.Check());
-  for (int ci = 0; ci < num_clusters; ++ci) {
-    result.stats += cluster_stats[ci];
-    for (Row& row : cluster_rows[ci]) {
-      SQLTS_RETURN_IF_ERROR(result.output.AppendRow(std::move(row)));
-    }
-  }
+  ScanDriver driver(num_clusters, {{&pplan.query, &result}}, options.exec);
+  std::vector<KernelScratch> scratch(driver.num_workers());
+  SQLTS_RETURN_IF_ERROR(driver.Run(
+      [&](int worker, int ci, const std::vector<int64_t>& budgets,
+          ClusterOutput* out) {
+        return RunCluster(st, ci, budgets[0], &scratch[worker], out);
+      },
+      &result.shard_stats));
   result.stats.bytes_read += reader.bytes_read() - bytes_before;
   return result;
 }

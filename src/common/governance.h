@@ -64,9 +64,10 @@ struct ResourceLedger {
 
 /// Deterministic failure-injection hook (testing only).  Called at
 /// named engine sites ("stream.push", "matcher.append",
-/// "shard.enqueue"); a non-OK return simulates that site failing — the
-/// engine must surface it as a Status without losing or duplicating
-/// output.  Hooks may also throw, which exercises the shard workers'
+/// "shard.enqueue", and "scan.cluster" before each cluster of a batch
+/// scan); a non-OK return simulates that site failing — the engine
+/// must surface it as a Status without losing or duplicating output.
+/// Hooks may also throw, which exercises the shard and scan workers'
 /// exception boundary.
 using FaultHook = std::function<Status(std::string_view site)>;
 

@@ -187,7 +187,6 @@ bool GswSolver::LinearDomainUnsat(const ConstraintSystem& s) const {
     }
   }
   g.Close();
-  ++closure_count_;
   if (g.HasNegativeCycle()) return true;
   for (const Disequality& d : diseq) {
     if (g.ForcesEquality(d.x, d.y, d.c)) return true;
@@ -246,7 +245,6 @@ bool GswSolver::LogDomainUnsat(const ConstraintSystem& s) const {
     }
   }
   g.Close();
-  ++closure_count_;
   if (g.HasNegativeCycle()) return true;
   for (const Disequality& d : diseq) {
     if (g.ForcesEquality(d.x, d.y, d.c)) return true;

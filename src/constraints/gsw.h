@@ -89,10 +89,6 @@ class GswSolver {
   /// True iff `t` holds in every model (a tautology).
   bool ProvablyValid(const ConstraintSystem& t) const;
 
-  /// Number of satisfiability graph closures run so far (compile-cost
-  /// accounting for the benchmarks).
-  int64_t closure_count() const { return closure_count_; }
-
  private:
   /// Builds and checks one domain; returns true if that domain proves
   /// unsatisfiability.
@@ -101,7 +97,6 @@ class GswSolver {
   bool StringsUnsat(const ConstraintSystem& s) const;
 
   GswOptions options_;
-  mutable int64_t closure_count_ = 0;
 };
 
 }  // namespace sqlts

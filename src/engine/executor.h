@@ -28,16 +28,18 @@ struct ExecOptions {
   SearchAlgorithm algorithm = SearchAlgorithm::kOps;
   /// Record every predicate test (expensive; Figure-5 style analysis).
   bool collect_trace = false;
-  /// Worker shards for clustered execution.  1 (the default) runs the
-  /// classic single-threaded path with bit-identical output; N > 1
-  /// hash-partitions clusters across N workers and merges results back
-  /// into the same deterministic order (cluster first-appearance order,
-  /// matches in cluster order).  Queries with LIMIT or collect_trace
-  /// fall back to the single-threaded path, whose early termination and
-  /// trace order are inherently sequential.
+  /// Worker threads for clustered execution.  Batch (every batch
+  /// executor, through engine/scan_driver.h): min(N, clusters) workers,
+  /// the calling thread among them, claim clusters in order and the
+  /// rows merge back in cluster first-appearance order, so output and
+  /// stats are identical at any N.  A scan with a LIMIT member or
+  /// collect_trace runs its clusters in order on the calling thread,
+  /// whose early termination and trace order are inherently
+  /// sequential.  Streaming: N > 1 hash-partitions clusters over N
+  /// shard workers.
   int num_threads = 1;
-  /// Bound (in tasks) of each shard's input queue; Push blocks when the
-  /// owning shard is this far behind (backpressure).
+  /// Streaming only: bound (in tasks) of each shard's input queue; Push
+  /// blocks when the owning shard is this far behind (backpressure).
   int64_t shard_queue_capacity = 1024;
   /// Per-query resource governance: buffer budgets (streaming), a
   /// deadline, cooperative cancellation, bad-input policy, and the
@@ -73,8 +75,8 @@ struct QueryResult {
   /// Malformed input rows dropped under BadInputPolicy::kSkipAndCount
   /// on the way into this query (e.g. by a CSV load feeding it).
   int64_t rows_skipped = 0;
-  /// Per-shard counters (one entry per worker); empty when the query
-  /// ran on the single-threaded path.
+  /// Per-worker counters (clusters, tuples_pushed, search); empty
+  /// when the query ran on one worker.
   std::vector<ShardStats> shard_stats;
 };
 

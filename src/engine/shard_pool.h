@@ -52,11 +52,8 @@ SearchStats TotalSearchStats(const std::vector<ShardStats>& shards);
 /// key tuples encode equal.
 std::string EncodeClusterKey(const Row& row, const std::vector<int>& cols);
 
-/// EncodeClusterKey over every column of `key` (a cluster-key tuple as
-/// produced by ClusteredSequence::cluster_key).
-std::string EncodeClusterKey(const Row& key);
-
-/// Fixed-size pool of shard workers for per-cluster parallelism.
+/// Fixed-size pool of shard workers for per-cluster parallelism in
+/// streaming execution (batch scans use engine/scan_driver.h).
 ///
 /// Clusters are hash-partitioned across N shards (ShardFor); each shard
 /// runs one dedicated worker thread that consumes a bounded MPSC queue
@@ -69,10 +66,9 @@ std::string EncodeClusterKey(const Row& key);
 /// workers, and makes all worker-side state visible to the caller.
 class ShardPool {
  public:
-  /// One unit of work: a row routed to a cluster (streaming), or a bare
-  /// cluster ordinal with an empty row (batch, one task per cluster).
-  /// `tag` is a producer-assigned sequence number used for the ordered
-  /// result merge.
+  /// One unit of work: a row routed to the cluster with ordinal
+  /// `cluster`.  `tag` is a producer-assigned sequence number used for
+  /// the ordered result merge.
   struct Task {
     Row row;
     uint64_t cluster = 0;

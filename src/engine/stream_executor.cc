@@ -15,15 +15,7 @@ StreamingQueryExecutor::Create(std::string_view query_text,
                                const ExecOptions& options) {
   SQLTS_ASSIGN_OR_RETURN(CompiledQuery query,
                          CompileQueryText(query_text, schema));
-  if (options.compile.refuse_provably_empty) {
-    LintOptions lint_options;
-    lint_options.oracle = options.compile.oracle;
-    LintResult lint = LintQuery(query, lint_options);
-    if (lint.has_errors()) {
-      return Status::InvalidArgument("query is provably empty: " +
-                                     SummarizeErrors(lint));
-    }
-  }
+  SQLTS_RETURN_IF_ERROR(RefuseProvablyEmpty(query, options.compile));
   SQLTS_ASSIGN_OR_RETURN(PatternPlan plan,
                          CompilePattern(query, options.compile));
   // Fail early on lookahead predicates: probe a matcher construction.

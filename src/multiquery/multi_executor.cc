@@ -6,8 +6,7 @@
 
 #include "analysis/linter.h"
 #include "engine/explain.h"
-#include "engine/matcher.h"
-#include "engine/shard_pool.h"
+#include "engine/scan_driver.h"
 #include "multiquery/shared_cache.h"
 #include "storage/sequence.h"
 
@@ -20,19 +19,11 @@ namespace {
 constexpr int64_t kMaxBatchWindow = 1 << 16;
 
 /// One query of the set, compiled and mapped into its scan group's
-/// shared predicate id space.
+/// shared predicate id space.  `result.plan` is its pattern plan.
 struct SetQuery {
   CompiledQuery query;
-  PatternPlan plan;
   QueryConjuncts conjuncts;
-  Table output;
-  SearchStats stats;
-  int group = -1;  // scan-group index
-  /// Sharded path: rows buffered per cluster ordinal, merged in cluster
-  /// first-appearance order after the barrier.
-  std::vector<std::vector<Row>> cluster_rows;
-
-  explicit SetQuery(Schema out_schema) : output(std::move(out_schema)) {}
+  QueryResult result;
 };
 
 /// Queries sharing (CLUSTER BY, SEQUENCE BY): one clustering pass, one
@@ -48,132 +39,39 @@ Status Prefixed(int index, const Status& s) {
                 "query #" + std::to_string(index + 1) + ": " + s.message());
 }
 
-/// Runs one query's matcher over one cluster through the shared cache
-/// and projects its matches.  `max_matches` = 0 means unlimited.
-std::vector<Row> RunQueryOnCluster(SetQuery* sq, const SequenceView& seq,
-                                   SharedClusterCache* cache,
-                                   MultiQueryCounters* counters,
-                                   const ExecOptions& options,
-                                   int64_t max_matches, SearchStats* stats) {
-  MultiQueryEvaluator evaluator(&sq->conjuncts, cache, counters);
-  SearchOptions search_opts;
-  search_opts.governance = &options.governance;
-  search_opts.evaluator = &evaluator;
-  search_opts.max_matches = max_matches;
-  std::vector<Match> matches =
-      options.algorithm == SearchAlgorithm::kOps
-          ? OpsSearch(seq, sq->plan, stats, nullptr, search_opts)
-          : NaiveSearch(seq, sq->plan, stats, nullptr, search_opts);
-  std::vector<Row> rows;
-  rows.reserve(matches.size());
-  for (const Match& match : matches) {
-    rows.push_back(ProjectMatch(sq->query, seq, match));
-  }
-  return rows;
-}
-
-/// Sequential per-group execution: clusters in first-appearance order,
-/// the group's queries in registration order within each cluster, with
-/// exact per-query LIMIT early termination — each query's rows come out
-/// in the same order its standalone run produces.
-Status ExecuteGroupSequential(ScanGroup* group, std::vector<SetQuery>* set,
-                              const ExecOptions& options,
-                              MultiQueryCounters* counters) {
-  for (int c = 0; c < group->clusters.num_clusters(); ++c) {
-    const SequenceView& seq = group->clusters.cluster(c);
-    SharedClusterCache cache(group->catalog.get(),
-                             std::min<int64_t>(seq.size(), kMaxBatchWindow));
-    for (int qi : group->members) {
-      SetQuery& sq = (*set)[qi];
-      if (sq.query.limit_zero) continue;
-      int64_t max_matches = 0;
-      if (sq.query.limit > 0) {
-        max_matches = sq.query.limit - sq.output.num_rows();
-        if (max_matches <= 0) continue;
-      }
-      if (!ClusterAccepted(sq.query, seq)) continue;
-      SearchStats stats;
-      std::vector<Row> rows = RunQueryOnCluster(
-          &sq, seq, &cache, counters, options, max_matches, &stats);
-      sq.stats += stats;
-      for (Row& row : rows) {
-        SQLTS_RETURN_IF_ERROR(sq.output.AppendRow(std::move(row)));
-      }
-      SQLTS_RETURN_IF_ERROR(options.governance.Check());
-    }
-  }
-  return Status::OK();
-}
-
-/// Sharded per-group execution, mirroring the single-query
-/// ExecuteSharded: one task per cluster, the owning worker runs every
-/// query of the group against it (sharing the cluster cache), rows
-/// merge back per query in cluster order.  LIMIT queries truncate at
-/// assembly — same first-N rows as the sequential path.
-Status ExecuteGroupSharded(ScanGroup* group, std::vector<SetQuery>* set,
-                           const ExecOptions& options,
-                           MultiQueryCounters* counters) {
-  const int num_clusters = group->clusters.num_clusters();
-  const int num_shards = std::min(options.num_threads, num_clusters);
-  for (int qi : group->members) {
-    (*set)[qi].cluster_rows.assign(num_clusters, {});
-  }
-  // [shard][query index in set]: workers may not touch shared stats.
-  std::vector<std::vector<SearchStats>> shard_query_stats(
-      num_shards, std::vector<SearchStats>(set->size()));
-
-  auto handler = [&](int shard, ShardPool::Task&& task) {
-    const int c = static_cast<int>(task.cluster);
-    const SequenceView& seq = group->clusters.cluster(c);
-    if (!options.governance.Check().ok()) return;
-    SharedClusterCache cache(group->catalog.get(),
-                             std::min<int64_t>(seq.size(), kMaxBatchWindow));
-    for (int qi : group->members) {
-      SetQuery& sq = (*set)[qi];
-      if (sq.query.limit_zero) continue;
-      if (!ClusterAccepted(sq.query, seq)) continue;
-      sq.cluster_rows[c] = RunQueryOnCluster(
-          &sq, seq, &cache, counters, options, /*max_matches=*/0,
-          &shard_query_stats[shard][qi]);
-    }
-  };
-
-  {
-    ShardPool pool(num_shards, options.shard_queue_capacity, handler);
-    for (int c = 0; c < num_clusters; ++c) {
-      int shard =
-          pool.ShardFor(EncodeClusterKey(group->clusters.cluster_key(c)));
-      pool.Push(shard, ShardPool::Task{Row{}, static_cast<uint64_t>(c), 0});
-    }
-    pool.Finish();
-    SQLTS_RETURN_IF_ERROR(pool.first_error());
-  }
-  SQLTS_RETURN_IF_ERROR(options.governance.Check());
-
+/// Scans one group: each cluster gets one shared cache, and the
+/// group's queries run against it in registration order.
+Status ExecuteGroup(ScanGroup* group, std::vector<SetQuery>* set,
+                    const ExecOptions& options,
+                    MultiQueryCounters* counters) {
+  std::vector<ScanMember> members;
   for (int qi : group->members) {
     SetQuery& sq = (*set)[qi];
-    for (int s = 0; s < num_shards; ++s) {
-      sq.stats += shard_query_stats[s][qi];
-    }
-    int64_t remaining =
-        sq.query.limit > 0 ? sq.query.limit : static_cast<int64_t>(-1);
-    for (int c = 0; c < num_clusters && remaining != 0; ++c) {
-      for (Row& row : sq.cluster_rows[c]) {
-        if (remaining == 0) break;
-        SQLTS_RETURN_IF_ERROR(sq.output.AppendRow(std::move(row)));
-        if (remaining > 0) --remaining;
-      }
-    }
-    sq.cluster_rows.clear();
-    // Parallel cluster tasks cannot observe a cross-cluster LIMIT, so
-    // matches past the cutoff were found and then truncated here; clamp
-    // the reported count to keep matches == emitted rows at any thread
-    // count (the sequential path terminates the search at the limit).
-    if (sq.query.limit > 0 && sq.stats.matches > sq.query.limit) {
-      sq.stats.matches = sq.query.limit;
-    }
+    sq.result.num_clusters = group->clusters.num_clusters();
+    members.push_back({&sq.query, &sq.result});
   }
-  return Status::OK();
+  ScanDriver driver(group->clusters.num_clusters(), std::move(members),
+                    options);
+  return driver.Run([&](int, int c, const std::vector<int64_t>& budgets,
+                        ClusterOutput* out) {
+    const SequenceView& seq = group->clusters.cluster(c);
+    out->tuples = seq.size();
+    SharedClusterCache cache(group->catalog.get(),
+                             std::min<int64_t>(seq.size(), kMaxBatchWindow));
+    for (size_t k = 0; k < group->members.size(); ++k) {
+      if (budgets[k] == ScanDriver::kSkip) continue;
+      SetQuery& sq = (*set)[group->members[k]];
+      if (!ClusterAccepted(sq.query, seq)) continue;
+      MultiQueryEvaluator evaluator(&sq.conjuncts, &cache, counters);
+      SearchOptions search_opts;
+      search_opts.governance = &options.governance;
+      search_opts.evaluator = &evaluator;
+      search_opts.max_matches = budgets[k];
+      SearchAndProject(sq.query, sq.result.plan, seq, options.algorithm,
+                       search_opts, &out->stats[k], &out->rows[k]);
+    }
+    return Status::OK();
+  });
 }
 
 /// Compiles the set and assembles its scan groups (shared by Execute
@@ -186,22 +84,14 @@ Status BuildQuerySet(const Schema& schema,
   for (size_t i = 0; i < queries.size(); ++i) {
     auto compiled = CompileQueryText(queries[i], schema);
     if (!compiled.ok()) return Prefixed(static_cast<int>(i), compiled.status());
-    if (options.compile.refuse_provably_empty) {
-      LintOptions lint_options;
-      lint_options.oracle = options.compile.oracle;
-      LintResult lint = LintQuery(*compiled, lint_options);
-      if (lint.has_errors()) {
-        return Prefixed(static_cast<int>(i),
-                        Status::InvalidArgument("query is provably empty: " +
-                                                SummarizeErrors(lint)));
-      }
-    }
+    Status lint = RefuseProvablyEmpty(*compiled, options.compile);
+    if (!lint.ok()) return Prefixed(static_cast<int>(i), lint);
     auto plan = CompilePattern(*compiled, options.compile);
     if (!plan.ok()) return Prefixed(static_cast<int>(i), plan.status());
-    SetQuery sq(compiled->output_schema);
-    sq.query = std::move(*compiled);
-    sq.plan = std::move(*plan);
-    set->push_back(std::move(sq));
+    Table output(compiled->output_schema);
+    set->push_back({std::move(*compiled), {},
+                    QueryResult{std::move(output), SearchStats{},
+                                SearchTrace{}, std::move(*plan), 0, 0, {}}});
   }
 
   for (size_t i = 0; i < set->size(); ++i) {
@@ -224,7 +114,6 @@ Status BuildQuerySet(const Schema& schema,
       groups->push_back(std::move(group));
     }
     (*groups)[g].members.push_back(static_cast<int>(i));
-    sq.group = g;
     sq.conjuncts = RegisterQueryConjuncts(sq.query, (*groups)[g].catalog.get());
   }
   return Status::OK();
@@ -251,13 +140,7 @@ StatusOr<QuerySetResult> MultiQueryExecutor::Execute(
                            ClusteredSequence::Build(&input,
                                                     first.query.cluster_by,
                                                     first.query.sequence_by));
-    if (options.num_threads > 1 && group.clusters.num_clusters() > 1) {
-      SQLTS_RETURN_IF_ERROR(
-          ExecuteGroupSharded(&group, &set, options, &counters));
-    } else {
-      SQLTS_RETURN_IF_ERROR(
-          ExecuteGroupSequential(&group, &set, options, &counters));
-    }
+    SQLTS_RETURN_IF_ERROR(ExecuteGroup(&group, &set, options, &counters));
   }
 
   QuerySetResult result;
@@ -270,16 +153,7 @@ StatusOr<QuerySetResult> MultiQueryExecutor::Execute(
   result.stats.SnapshotCounters(counters);
 
   result.per_query.reserve(set.size());
-  for (SetQuery& sq : set) {
-    QueryResult qr{std::move(sq.output),
-                   sq.stats,
-                   SearchTrace{},
-                   std::move(sq.plan),
-                   groups[sq.group].clusters.num_clusters(),
-                   0,
-                   {}};
-    result.per_query.push_back(std::move(qr));
-  }
+  for (SetQuery& sq : set) result.per_query.push_back(std::move(sq.result));
   return result;
 }
 
@@ -295,7 +169,7 @@ StatusOr<std::string> ExplainQuerySet(const Schema& schema,
   std::string out;
   for (size_t i = 0; i < set.size(); ++i) {
     out += "== query #" + std::to_string(i + 1) + " ==\n";
-    out += ExplainQuery(set[i].query, set[i].plan, queries[i]);
+    out += ExplainQuery(set[i].query, set[i].result.plan, queries[i]);
     out += "\n";
   }
   out += "== shared predicate catalog ==\n";

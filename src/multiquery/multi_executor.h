@@ -26,15 +26,17 @@ struct QuerySetResult {
 /// matcher over each cluster behind a per-cluster memo — a predicate
 /// shared by several queries is evaluated at most once per tuple.
 ///
-/// Output equivalence: per-query rows are bit-identical to running the
-/// query alone with the same options, at any thread count.  With
-/// options.num_threads > 1 each scan group hash-partitions its
-/// clusters over a ShardPool (one task per cluster; a worker runs all
-/// of the group's matchers for its cluster) and rows merge back in
-/// cluster first-appearance order.  LIMIT queries are truncated to
-/// their first `limit` rows in that same deterministic order.
-/// collect_trace is not supported here (traces are per-query sequential
-/// logs); per-query traces come back empty.
+/// Each scan group is one run of the batch scan driver
+/// (engine/scan_driver.h) with the group's queries as its members: a
+/// worker runs all of them over its cluster against one shared cache,
+/// and rows merge back per query in cluster first-appearance order.
+///
+/// Output equivalence: per-query rows and SearchStats are identical to
+/// running the query alone with the same options, at any thread count.
+/// A group with a LIMIT member runs its clusters in order, each query
+/// with its own remaining budget, so a LIMIT query does exactly the
+/// work of its solo run.  collect_trace is not supported here (traces
+/// are per-query sequential logs); per-query traces come back empty.
 class MultiQueryExecutor {
  public:
   static StatusOr<QuerySetResult> Execute(

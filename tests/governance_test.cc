@@ -7,13 +7,19 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "colstore/columnar_executor.h"
+#include "colstore/reader.h"
+#include "colstore/writer.h"
 #include "common/governance.h"
 #include "engine/executor.h"
 #include "engine/stream_executor.h"
+#include "multiquery/multi_executor.h"
 #include "test_util.h"
 
 namespace sqlts {
@@ -145,8 +151,10 @@ TEST(Governance, CancellationReturnsWithinOnePush) {
 TEST(Governance, BatchExecutorHonorsGovernance) {
   Table table(QuoteSchema());
   Date d(10000);
-  for (int i = 0; i < 32; ++i) {
-    ASSERT_TRUE(table.AppendRow(QuoteRow("A", d.AddDays(i), i)).ok());
+  for (const char* name : {"A", "B", "C", "D", "E", "F"}) {
+    for (int i = 0; i < 32; ++i) {
+      ASSERT_TRUE(table.AppendRow(QuoteRow(name, d.AddDays(i), i)).ok());
+    }
   }
   const char* query =
       "SELECT X.price FROM quote CLUSTER BY name SEQUENCE BY date "
@@ -170,6 +178,37 @@ TEST(Governance, BatchExecutorHonorsGovernance) {
   sharded.num_threads = 4;
   EXPECT_EQ(QueryExecutor::Execute(table, query, sharded).status().code(),
             StatusCode::kDeadlineExceeded);
+
+  // So do the multi-query and columnar executors, on one worker and on
+  // several.
+  ColumnarWriterOptions wopts;
+  wopts.cluster_by = {"name"};
+  wopts.sequence_by = {"date"};
+  auto bytes = ColumnarWriter::WriteBytes(table, wopts);
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+  auto reader = ColumnarReader::OpenBytes(std::move(*bytes));
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  const std::vector<std::string> set = {
+      query,
+      "SELECT X.price FROM quote CLUSTER BY name SEQUENCE BY date "
+      "AS (X, Y) WHERE Y.price < X.price"};
+  for (int threads : {1, 4}) {
+    for (const auto& [base, want] :
+         {std::pair{cancelled, StatusCode::kCancelled},
+          std::pair{late, StatusCode::kDeadlineExceeded}}) {
+      ExecOptions opt = base;
+      opt.num_threads = threads;
+      EXPECT_EQ(MultiQueryExecutor::Execute(table, set, opt).status().code(),
+                want)
+          << "threads=" << threads;
+      ColumnarExecOptions copt;
+      copt.exec = opt;
+      EXPECT_EQ(
+          ColumnarExecutor::Execute(**reader, query, copt).status().code(),
+          want)
+          << "threads=" << threads;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

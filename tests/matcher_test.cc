@@ -136,6 +136,10 @@ struct EquivCase {
   const char* query;
 };
 
+// Print a case as its label; the default prints the two pointers, which
+// differ from run to run and would leak into the discovered test names.
+void PrintTo(const EquivCase& c, std::ostream* os) { *os << c.name; }
+
 class OpsEquivalence : public ::testing::TestWithParam<EquivCase> {};
 
 TEST_P(OpsEquivalence, MatchesAndSpansAgreeOnRandomWalks) {

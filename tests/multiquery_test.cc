@@ -123,6 +123,35 @@ TEST(MultiQueryBatch, BitIdenticalToIndependentRunsAtAnyThreadCount) {
   }
 }
 
+TEST(MultiQueryBatch, LimitMemberStatsEqualSoloRunAtAnyThreadCount) {
+  // A LIMIT member stops searching at its limit, so its counters are
+  // its solo run's: a parallel scan that searched past the limit and
+  // truncated afterwards would count the extra tests.
+  Table data = MultiInstrumentTable();
+  const std::string limited =
+      "SELECT X.name, Y.date FROM quote CLUSTER BY name SEQUENCE BY date "
+      "AS (X, Y) WHERE Y.price < 0.95 * X.price LIMIT 1";
+  const std::vector<std::string> queries = {OverlappingQueries()[0], limited};
+  auto solo = QueryExecutor::Execute(data, limited);
+  ASSERT_TRUE(solo.ok()) << solo.status();
+  ASSERT_EQ(solo->stats.matches, 1);
+
+  for (int threads : {1, 8}) {
+    ExecOptions opt;
+    opt.num_threads = threads;
+    auto set = MultiQueryExecutor::Execute(data, queries, opt);
+    ASSERT_TRUE(set.ok()) << set.status();
+    const QueryResult& got = set->per_query[1];
+    EXPECT_EQ(RowStrings(got.output), RowStrings(solo->output))
+        << "threads=" << threads;
+    EXPECT_EQ(got.stats.evaluations, solo->stats.evaluations)
+        << "threads=" << threads;
+    EXPECT_EQ(got.stats.jumps, solo->stats.jumps) << "threads=" << threads;
+    EXPECT_EQ(got.stats.matches, solo->stats.matches)
+        << "threads=" << threads;
+  }
+}
+
 TEST(MultiQueryBatch, SubsumptionSeedsInferredHits) {
   Table data = MultiInstrumentTable();
   // 0.95-drop implies 0.97-drop on a POSITIVE column: a TRUE verdict
