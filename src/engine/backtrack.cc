@@ -1,7 +1,7 @@
 #include "engine/backtrack.h"
 
 #include "common/logging.h"
-#include "expr/eval.h"
+#include "engine/ops_cursor.h"
 
 namespace sqlts {
 namespace {
@@ -25,13 +25,8 @@ class Attempt {
  private:
   bool Test(int j, int64_t i) {
     ++stats_->evaluations;
-    const ExprPtr& pred = plan_.predicates[j];
-    if (pred == nullptr) return true;
-    EvalContext ctx;
-    ctx.seq = &seq_;
-    ctx.pos = i;
-    ctx.spans = &spans_;
-    return EvalPredicate(*pred, ctx);
+    return TestElement(plan_, nullptr, j, seq_, /*base=*/0, i, spans_,
+                       nullptr);
   }
 
   /// Matches elements j..m starting at input position i.

@@ -58,10 +58,9 @@ OpsStreamMatcher::OpsStreamMatcher(const PatternPlan* plan, Schema schema,
       min_offset_(min_offset),
       gov_(governance),
       ledger_(ledger),
-      evaluator_(evaluator),
       buffer_(schema),
-      cnt_(plan->m + 1, 0),
-      spans_(plan->m) {}
+      cursor_(plan, SearchOptions{.governance = governance,
+                                  .evaluator = evaluator}) {}
 
 void OpsStreamMatcher::Account(int64_t tuples, int64_t bytes) {
   buffered_bytes_ += bytes;
@@ -109,167 +108,31 @@ Status OpsStreamMatcher::Push(Row row) {
   view_rows_.push_back(buffer_.num_rows() - 1);
   ++pushed_;
   Account(+1, row_bytes);
-  Drain();
-  if (gov_ != nullptr && gov_->cancel.cancel_requested()) {
-    return Status::Cancelled("query cancelled via CancelToken");
-  }
+  SQLTS_RETURN_IF_ERROR(Drain(/*input_ends=*/false));
   MaybeEvict();
   return CheckBudget();
 }
 
-void OpsStreamMatcher::Finish() {
-  const int m = plan_->m;
-  // End of stream: the suspended attempt gets no more input.  An open
-  // star group on the last element completes a match; otherwise the
-  // attempt fails, and — as in batch OpsSearch — a pattern with stars
-  // must retry later starts, whose star groups may consume few enough
-  // tuples to fit in the remaining input.  Each retry re-runs Drain,
-  // which either completes (emitting matches) or suspends at the end of
-  // input again; start_ strictly increases, so this terminates.
+Status OpsStreamMatcher::Finish() { return Drain(/*input_ends=*/true); }
+
+Status OpsStreamMatcher::Drain(bool input_ends) {
+  // A buffer-relative view borrowing the incrementally-grown index.
+  const SequenceView view(&buffer_, &view_rows_);
   while (true) {
-    if (gov_ != nullptr && gov_->cancel.cancel_requested()) return;
-    if (j_ == m && plan_->star[m] && cnt_[m] > cnt_[m - 1]) {
-      EmitMatch();
-      Drain();
-      continue;
-    }
-    if (plan_->has_star && plan_->anchored_refs && start_ + 1 < pushed_) {
-      ResetAttempt(start_ + 1);
-      Drain();
-      continue;
-    }
-    break;
-  }
-}
-
-void OpsStreamMatcher::EmitMatch() {
-  Match match;
-  match.spans = spans_;
-  ++stats_.matches;
-  if (on_match_) {
-    SequenceView view(&buffer_, &view_rows_);
-    on_match_(match, view, base_);
-  }
-  ResetAttempt(match.last() + 1);
-}
-
-void OpsStreamMatcher::ResetAttempt(int64_t new_start) {
-  start_ = new_start;
-  i_ = new_start;
-  j_ = 1;
-  std::fill(cnt_.begin(), cnt_.end(), 0);
-  spans_.assign(plan_->m, GroupSpan{});
-  presat_pending_ = false;
-}
-
-void OpsStreamMatcher::Drain() {
-  const int m = plan_->m;
-  const SearchTables& tables = plan_->tables;
-
-  // A buffer-relative view (borrowing the incrementally-grown index)
-  // and span translation for the evaluator.
-  SequenceView view(&buffer_, &view_rows_);
-  std::vector<GroupSpan> rel_spans(m);
-
-  while (true) {
-    // Cooperative cancellation: state is consistent between iterations,
-    // so bailing here leaves a matcher that could even resume.
-    if (gov_ != nullptr && gov_->cancel.cancel_requested()) return;
-    if (j_ > m) {
-      EmitMatch();
-      continue;
-    }
-    if (i_ >= pushed_) return;  // wait for more input
-
-    bool sat;
-    if (presat_pending_) {
-      sat = true;
-      presat_pending_ = false;
-      ++stats_.presat_skips;
-    } else {
-      ++stats_.evaluations;
-      const ExprPtr& pred = plan_->predicates[j_];
-      if (pred == nullptr) {
-        sat = true;
-      } else {
-        for (int e = 0; e < m; ++e) {
-          rel_spans[e] = spans_[e].valid()
-                             ? GroupSpan{spans_[e].first - base_,
-                                         spans_[e].last - base_}
-                             : GroupSpan{};
-        }
-        if (evaluator_ != nullptr) {
-          // The buffer view is positioned at i_ - base_, but the tuple's
-          // stable identity across queries (whose buffers may have
-          // evicted different prefixes) is its absolute position i_.
-          sat = evaluator_->Test(j_, view, i_ - base_, rel_spans,
-                                 /*abs_pos=*/i_);
-        } else {
-          EvalContext ctx;
-          ctx.seq = &view;
-          ctx.pos = i_ - base_;
-          ctx.spans = &rel_spans;
-          sat = EvalPredicate(*pred, ctx);
-        }
-      }
-    }
-
-    if (sat) {
-      if (cnt_[j_] == cnt_[j_ - 1]) spans_[j_ - 1].first = i_;
-      ++cnt_[j_];
-      spans_[j_ - 1].last = i_;
-      ++i_;
-      if (!plan_->star[j_]) {
-        ++j_;
-        if (j_ <= m) cnt_[j_] = cnt_[j_ - 1];
-      }
-      continue;
-    }
-
-    if (plan_->star[j_] && cnt_[j_] > cnt_[j_ - 1]) {
-      ++j_;
-      if (j_ <= m) cnt_[j_] = cnt_[j_ - 1];
-      continue;
-    }
-
-    ++stats_.jumps;
-    const int s = tables.shift[j_];
-    const int nx = tables.next[j_];
-    const bool presat = tables.presatisfied[j_];
-    if (nx == 0) {
-      ResetAttempt(i_ + 1);
-      continue;
-    }
-    // Mirror of OpsSearch's star-aware shift guard (see matcher.cc): a
-    // shift of 1 with a multi-tuple star first group must restart one
-    // tuple forward, because the implication graph never refutes the
-    // candidate starts *inside* that group's span.  Needed only when an
-    // anchored reference can make the replay diverge.
-    if (s == 1 && plan_->star[1] && cnt_[1] > 1 && plan_->anchored_refs) {
-      ResetAttempt(start_ + 1);
-      continue;
-    }
-    const std::vector<int64_t> old_cnt = cnt_;
-    const std::vector<GroupSpan> old_spans = spans_;
-    const int64_t old_start = start_;
-    start_ = old_start + old_cnt[s];
-    std::fill(cnt_.begin(), cnt_.end(), 0);
-    spans_.assign(m, GroupSpan{});
-    for (int t = 1; t < nx; ++t) {
-      cnt_[t] = old_cnt[s + t] - old_cnt[s];
-      spans_[t - 1] = old_spans[s + t - 1];
-    }
-    cnt_[nx] = cnt_[nx - 1];
-    i_ = old_start + old_cnt[s + nx - 1];
-    j_ = nx;
-    presat_pending_ = presat;
+    const OpsCursor::Signal signal =
+        cursor_.Advance(view, base_, pushed_, input_ends);
+    if (signal == OpsCursor::Signal::kExhausted) return Status::OK();
+    if (signal == OpsCursor::Signal::kStopped) return gov_->Check();
+    const Match match = cursor_.CurrentMatch();
+    if (on_match_) on_match_(match, view, base_);
+    cursor_.Reset(match.last() + 1);
   }
 }
 
 void OpsStreamMatcher::MaybeEvict() {
   // Everything before the earliest position any test of the active
   // attempt (or its anchored references) can reach is dead.
-  const int64_t reachable_from = start_ + min_offset_;
+  const int64_t reachable_from = cursor_.start() + min_offset_;
   const int64_t waste = reachable_from - base_;
   if (waste < 4096 || waste < buffer_.num_rows() / 2) return;
   int64_t freed_bytes = 0;
@@ -294,21 +157,7 @@ void OpsStreamMatcher::Checkpoint(CheckpointWriter* writer) const {
   writer->WriteI64(min_offset_);
   writer->WriteI64(base_);
   writer->WriteI64(pushed_);
-  writer->WriteI64(start_);
-  writer->WriteI64(i_);
-  writer->WriteU32(static_cast<uint32_t>(j_));
-  writer->WriteBool(presat_pending_);
-  writer->WriteU32(static_cast<uint32_t>(cnt_.size()));
-  for (int64_t c : cnt_) writer->WriteI64(c);
-  writer->WriteU32(static_cast<uint32_t>(spans_.size()));
-  for (const GroupSpan& s : spans_) {
-    writer->WriteI64(s.first);
-    writer->WriteI64(s.last);
-  }
-  writer->WriteI64(stats_.evaluations);
-  writer->WriteI64(stats_.presat_skips);
-  writer->WriteI64(stats_.jumps);
-  writer->WriteI64(stats_.matches);
+  cursor_.Save(writer);
   writer->WriteU64(static_cast<uint64_t>(buffer_.num_rows()));
   for (int64_t r = 0; r < buffer_.num_rows(); ++r) {
     writer->WriteRow(buffer_.GetRow(r));
@@ -333,31 +182,11 @@ Status OpsStreamMatcher::RestoreState(CheckpointReader* reader) {
   }
   SQLTS_ASSIGN_OR_RETURN(base_, reader->ReadI64());
   SQLTS_ASSIGN_OR_RETURN(pushed_, reader->ReadI64());
-  SQLTS_ASSIGN_OR_RETURN(start_, reader->ReadI64());
-  SQLTS_ASSIGN_OR_RETURN(i_, reader->ReadI64());
-  SQLTS_ASSIGN_OR_RETURN(uint32_t j, reader->ReadU32());
-  j_ = static_cast<int>(j);
-  SQLTS_ASSIGN_OR_RETURN(presat_pending_, reader->ReadBool());
-  SQLTS_ASSIGN_OR_RETURN(uint32_t cnt_size, reader->ReadU32());
-  if (cnt_size != cnt_.size()) {
-    return Status::IoError("checkpoint counter array size mismatch");
-  }
-  for (size_t t = 0; t < cnt_.size(); ++t) {
-    SQLTS_ASSIGN_OR_RETURN(cnt_[t], reader->ReadI64());
-  }
-  SQLTS_ASSIGN_OR_RETURN(uint32_t span_count, reader->ReadU32());
-  if (span_count != spans_.size()) {
-    return Status::IoError("checkpoint span array size mismatch");
-  }
-  for (GroupSpan& s : spans_) {
-    SQLTS_ASSIGN_OR_RETURN(s.first, reader->ReadI64());
-    SQLTS_ASSIGN_OR_RETURN(s.last, reader->ReadI64());
-  }
-  SQLTS_ASSIGN_OR_RETURN(stats_.evaluations, reader->ReadI64());
-  SQLTS_ASSIGN_OR_RETURN(stats_.presat_skips, reader->ReadI64());
-  SQLTS_ASSIGN_OR_RETURN(stats_.jumps, reader->ReadI64());
-  SQLTS_ASSIGN_OR_RETURN(stats_.matches, reader->ReadI64());
+  SQLTS_RETURN_IF_ERROR(cursor_.Restore(reader, base_, pushed_));
   SQLTS_ASSIGN_OR_RETURN(uint64_t rows, reader->ReadU64());
+  if (rows != static_cast<uint64_t>(pushed_ - base_)) {
+    return Status::IoError("checkpoint buffer disagrees with its position");
+  }
   for (uint64_t r = 0; r < rows; ++r) {
     SQLTS_ASSIGN_OR_RETURN(Row row, reader->ReadRow());
     const int64_t row_bytes = EstimateRowBytes(row);

@@ -8,6 +8,7 @@
 #include "common/statusor.h"
 #include "engine/checkpoint.h"
 #include "engine/match.h"
+#include "engine/ops_cursor.h"
 #include "engine/shared_eval.h"
 #include "pattern/compile.h"
 #include "storage/table.h"
@@ -20,16 +21,17 @@ namespace sqlts {
 ///
 /// Tuples arrive one at a time via Push(); completed matches are
 /// reported through the callback with positions counted from the first
-/// pushed tuple.  The matcher runs the exact OPS algorithm (same
-/// shift/next tables, same greedy/left-maximal semantics) and is
-/// property-tested to agree with the batch OpsSearch on every prefix.
+/// pushed tuple.  The matcher drives the same OpsCursor as the batch
+/// OpsSearch — one OPS state machine, suspended whenever it reaches the
+/// last pushed tuple — so both report the same matches and statistics.
 ///
 /// Memory is bounded by the active attempt: tuples no attempt can reach
 /// any more (before `start + min_offset`) are evicted from the internal
 /// buffer.  When an ExecGovernance is supplied, Push additionally
 /// enforces buffered-tuple/byte budgets (kResourceExhausted), a
 /// deadline (kDeadlineExceeded), and cooperative cancellation
-/// (kCancelled, polled inside the advance loop) — so a pattern that can
+/// (kCancelled); cancellation and the deadline are also polled inside
+/// the advance loop of Push and Finish — so a pattern that can
 /// never complete degrades into a typed error instead of unbounded
 /// buffer growth.
 ///
@@ -70,8 +72,10 @@ class OpsStreamMatcher {
   Status Push(Row row);
 
   /// Signals end-of-stream: a trailing star group that is already
-  /// non-empty closes and may complete a final match.
-  void Finish();
+  /// non-empty closes and may complete a final match.  Returns
+  /// kCancelled/kDeadlineExceeded when governance stops it part-way;
+  /// matches reported before that stay reported.
+  Status Finish();
 
   /// Serializes all live state (stream position, attempt state, star
   /// counters, buffered tuples, stats) into `writer`.
@@ -82,7 +86,7 @@ class OpsStreamMatcher {
   /// IoError/InvalidArgument on corrupted or mismatched payloads.
   Status RestoreState(CheckpointReader* reader);
 
-  const SearchStats& stats() const { return stats_; }
+  const SearchStats& stats() const { return cursor_.stats(); }
   /// Number of tuples currently buffered (bounded-memory check).
   int64_t buffered() const { return buffer_.num_rows(); }
   /// Estimated bytes held by the buffered tuples.
@@ -99,12 +103,11 @@ class OpsStreamMatcher {
                    const ExecGovernance* governance, ResourceLedger* ledger,
                    ElementEvaluator* evaluator);
 
-  /// Runs the OPS state machine over every buffered-but-unprocessed
-  /// tuple.  Returns early (leaving consistent state) when cancellation
-  /// is requested.
-  void Drain();
-  void EmitMatch();
-  void ResetAttempt(int64_t new_start);
+  /// Advances the cursor over every buffered-but-unprocessed tuple,
+  /// reporting matches; with `input_ends`, applies the end-of-input
+  /// rule too.  Returns the governance error when polling stops it
+  /// (state stays consistent).
+  Status Drain(bool input_ends);
   /// Drops buffer rows that no future test or SELECT can reach.
   void MaybeEvict();
   /// Applies a buffered tuples/bytes delta to the gauges and ledger.
@@ -113,17 +116,12 @@ class OpsStreamMatcher {
   /// local gauges when no ledger is shared).
   Status CheckBudget() const;
 
-  /// Buffer position of absolute stream position `pos`, or -1 if
-  /// evicted/future.
-  int64_t BufferPos(int64_t pos) const { return pos - base_; }
-
   const PatternPlan* plan_;
   Schema schema_;
   MatchCallback on_match_;
   int min_offset_;  // most negative relative offset used by predicates
   const ExecGovernance* gov_;  // not owned; may be null
   ResourceLedger* ledger_;     // not owned; may be null
-  ElementEvaluator* evaluator_ = nullptr;  // not owned; may be null
 
   Table buffer_;
   /// Identity row index into buffer_, grown incrementally so Drain()
@@ -134,15 +132,7 @@ class OpsStreamMatcher {
   int64_t buffered_bytes_ = 0;
   int64_t peak_buffered_ = 0;
   int64_t peak_buffered_bytes_ = 0;
-
-  // OPS state (absolute positions).
-  int64_t start_ = 0;
-  int64_t i_ = 0;
-  int j_ = 1;
-  std::vector<int64_t> cnt_;
-  std::vector<GroupSpan> spans_;
-  bool presat_pending_ = false;
-  SearchStats stats_;
+  OpsCursor cursor_;  // attempt state in absolute stream positions
 };
 
 }  // namespace sqlts

@@ -314,7 +314,13 @@ Status StreamingQueryExecutor::Finish() {
       auto it = st.clusters.find(info.ordinal);
       if (it == st.clusters.end()) continue;
       st.current_tag = ++tag;
-      it->second.matcher->Finish();
+      const Status finished = it->second.matcher->Finish();
+      if (!finished.ok()) {
+        // Cancelled or out of time part-way: rows already delivered
+        // stay delivered; the remaining clusters are not finished.
+        if (st.error.ok()) st.error = finished;
+        break;
+      }
     }
     if (pool_ != nullptr) FlushBufferedRows();
   }

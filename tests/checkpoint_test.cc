@@ -136,6 +136,16 @@ TEST(CheckpointFormat, VersionSkewRejectedWithVersionInMessage) {
       << "message must name the supported version: " << st.message();
 }
 
+std::string ToHex(std::string_view bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (unsigned char c : bytes) {
+    hex += kDigits[c >> 4];
+    hex += kDigits[c & 0xf];
+  }
+  return hex;
+}
+
 TEST(CheckpointFormat, GoldenContainerBytes) {
   // Pins the container layout bit-for-bit: header fields, little-endian
   // integer encoding, length prefixes, value type tags.  If this test
@@ -152,14 +162,7 @@ TEST(CheckpointFormat, GoldenContainerBytes) {
   w.WriteValue(Value::Null());
   w.WriteValue(Value::Int64(5));
   w.WriteRow({Value::String("q"), Value::FromDate(Date(10000))});
-  const std::string bytes = w.Finalize();
-  std::string hex;
-  for (unsigned char c : bytes) {
-    static const char kDigits[] = "0123456789abcdef";
-    hex += kDigits[c >> 4];
-    hex += kDigits[c & 0xf];
-  }
-  EXPECT_EQ(hex,
+  EXPECT_EQ(ToHex(w.Finalize()),
             "53515453434b5054010000004200000000000000af3031197f1299db070201"
             "0000feffffffffffffff01000000000000f83f030000000000000073657100"
             "020500000000000000020000000401000000000000007105102700000000"
@@ -482,6 +485,117 @@ TEST(ExecutorCheckpoint, CorruptionFuzzNeverCrashes) {
   // kIoError path (checksum + bounds checks) actually fired.
   EXPECT_GT(rejected, kIters * 9 / 10);
   EXPECT_GT(io_errors, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Matcher payload: pinned bytes and validated attempt state.
+// ---------------------------------------------------------------------------
+
+const char kOpenStarQuery[] =
+    "SELECT X.price, COUNT(Y) FROM quote SEQUENCE BY date "
+    "AS (X, *Y, Z) WHERE Y.price < Y.previous.price "
+    "AND Z.price > 1.1 * X.price";
+
+/// A matcher over kOpenStarQuery fed {5, 10, 9, 8}: one jump, then an
+/// attempt X=10 with the star group Y open over 9, 8.
+StatusOr<OpsStreamMatcher> OpenStarMatcher(const PatternPlan& plan) {
+  auto m = OpsStreamMatcher::Create(
+      &plan, QuoteSchema(), [](const Match&, const SequenceView&, int64_t) {});
+  if (!m.ok()) return m.status();
+  Date d(10000);
+  for (double p : {5.0, 10.0, 9.0, 8.0}) {
+    SQLTS_RETURN_IF_ERROR(m->Push(QuoteRow("S", d, p)));
+    d = d.AddDays(1);
+  }
+  return m;
+}
+
+TEST(MatcherCheckpoint, GoldenPayloadBytes) {
+  // Pins the matcher payload bit-for-bit, taken mid-attempt inside an
+  // open star group: plan fingerprint, stream position, attempt state
+  // (start, i, j, presatisfied flag, count array, spans), statistics and
+  // buffered rows.  If this breaks, persisted checkpoints no longer
+  // restore — bump kCheckpointVersion and keep the old reader.
+  PatternPlan plan = MustPlan(kOpenStarQuery);
+  auto m = OpenStarMatcher(plan);
+  ASSERT_TRUE(m.ok()) << m.status();
+  CheckpointWriter w;
+  m->Checkpoint(&w);
+  EXPECT_EQ(ToHex(w.Finalize()),
+            "53515453434b505401000000310100000000000055ca72221ff55ea60300"
+            "0000ffffffffffffffff0000000000000000040000000000000001000000"
+            "000000000400000000000000020000000004000000000000000000000001"
+            "000000000000000300000000000000000000000000000003000000010000"
+            "0000000000010000000000000002000000000000000300000000000000ff"
+            "ffffffffffffffffffffffffffffff040000000000000001000000000000"
+            "000100000000000000000000000000000004000000000000000300000004"
+            "010000000000000053051027000000000000030000000000001440030000"
+            "000401000000000000005305112700000000000003000000000000244003"
+            "000000040100000000000000530512270000000000000300000000000022"
+            "400300000004010000000000000053051327000000000000030000000000"
+            "002040");
+}
+
+TEST(MatcherCheckpoint, RejectsInconsistentAttemptState) {
+  // Checksum-valid payloads whose attempt state contradicts itself or
+  // the buffer.  Unchecked, such state indexes the count array out of
+  // range (j = 0) or drives the advance loop over 2^40 positions that
+  // were never pushed; restore must refuse it with a typed error.
+  PatternPlan plan = MustPlan(kOpenStarQuery);
+  auto m = OpenStarMatcher(plan);
+  ASSERT_TRUE(m.ok()) << m.status();
+  CheckpointWriter w;
+  m->Checkpoint(&w);
+  const std::string clean = w.payload();
+
+  // Payload offsets of the golden layout (m = 3): base 0, pushed 4,
+  // start 1, i 4, j 2, cnt {0, 1, 3, 0}, spans {1..1, 2..3, none}.
+  constexpr size_t kBase = 12, kPushed = 20, kStart = 28, kI = 36, kJ = 44,
+                   kCnt = 53, kSpans = 89;
+  struct Patch {
+    const char* what;
+    size_t at;
+    int width;
+    int64_t value;
+  };
+  const Patch patches[] = {
+      {"j = 0", kJ, 4, 0},
+      {"j = m + 2", kJ, 4, 5},
+      {"base < 0", kBase, 8, -1},
+      {"base > start", kBase, 8, 2},
+      {"pushed = 2^40", kPushed, 8, int64_t{1} << 40},
+      {"pushed < i", kPushed, 8, 3},
+      {"start > i", kStart, 8, 5},
+      {"start + cnt[j] != i", kStart, 8, 0},
+      {"i != start + cnt[j]", kI, 8, 3},
+      {"cnt[0] != 0", kCnt, 8, 1},
+      {"cnt decreases", kCnt + 8, 8, 4},
+      {"cnt[j] != i - start", kCnt + 16, 8, 2},
+      {"span before start", kSpans, 8, 0},
+      {"span reaches i", kSpans + 24, 8, 4},
+      {"span first > last", kSpans + 16, 8, 4},
+  };
+  auto restore = [&](const std::string& payload) {
+    auto fresh = OpsStreamMatcher::Create(
+        &plan, QuoteSchema(),
+        [](const Match&, const SequenceView&, int64_t) {});
+    SQLTS_CHECK(fresh.ok());
+    const std::string bytes = WrapPayload(payload);
+    auto opened = OpenCheckpoint(bytes);
+    SQLTS_CHECK(opened.ok()) << opened.status();
+    CheckpointReader r(*opened);
+    return fresh->RestoreState(&r);
+  };
+  ASSERT_TRUE(restore(clean).ok());
+  for (const Patch& patch : patches) {
+    std::string bad = clean;
+    for (int b = 0; b < patch.width; ++b) {
+      bad[patch.at + b] = static_cast<char>(
+          (static_cast<uint64_t>(patch.value) >> (8 * b)) & 0xff);
+    }
+    ASSERT_NE(bad, clean) << patch.what;
+    EXPECT_EQ(restore(bad).code(), StatusCode::kIoError) << patch.what;
+  }
 }
 
 TEST(ExecutorCheckpoint, CheckpointFlushesBufferedShardedOutput) {

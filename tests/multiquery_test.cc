@@ -329,6 +329,47 @@ TEST(MultiQueryStream, RemoveQueryStopsItsOutputOnly) {
   EXPECT_EQ(got[2], full[2]) << "surviving query affected by removal";
 }
 
+TEST(MultiQueryStream, CancellationDuringFinishSurfaces) {
+  // Every match completes at end of stream (open trailing stars).  The
+  // first member's first end-of-stream row cancels that member's own
+  // token: Finish must surface kCancelled for it instead of OK, while
+  // the second member, under no cancellation, still delivers every row.
+  auto multi = MultiStreamExecutor::Create(QuoteSchema());
+  ASSERT_TRUE(multi.ok()) << multi.status();
+  ExecGovernance cancellable;
+  cancellable.cancel = CancelToken::Cancellable();
+  int cancelled_rows = 0, other_rows = 0;
+  ASSERT_TRUE((*multi)
+                  ->AddQuery("SELECT X.name FROM quote CLUSTER BY name "
+                             "SEQUENCE BY date AS (X, *Y) "
+                             "WHERE Y.price < Y.previous.price",
+                             [&](const Row&) {
+                               ++cancelled_rows;
+                               cancellable.cancel.RequestCancel();
+                             },
+                             &cancellable)
+                  .ok());
+  ASSERT_TRUE((*multi)
+                  ->AddQuery("SELECT X.name, COUNT(Y) FROM quote "
+                             "CLUSTER BY name SEQUENCE BY date AS (X, *Y) "
+                             "WHERE Y.price < X.price",
+                             [&](const Row&) { ++other_rows; })
+                  .ok());
+  Date d0(10000);
+  for (const char* name : {"A", "B", "C", "D"}) {
+    for (int i = 0; i < 3; ++i) {
+      Row row = {Value::String(name), Value::FromDate(d0.AddDays(i)),
+                 Value::Double(10 - i)};
+      ASSERT_TRUE((*multi)->Push(std::move(row)).ok());
+    }
+  }
+  ASSERT_EQ(cancelled_rows + other_rows, 0)
+      << "every star group must still be open";
+  EXPECT_EQ((*multi)->Finish().code(), StatusCode::kCancelled);
+  EXPECT_EQ(cancelled_rows, 1);
+  EXPECT_EQ(other_rows, 4);
+}
+
 TEST(MultiQueryStream, CheckpointRestoreReinstatesTheRegisteredSet) {
   Table data = MultiInstrumentTable();
   const std::vector<std::string> all = OverlappingQueries();

@@ -211,6 +211,36 @@ TEST(StreamExecutor, AgreesWithBatchExecutorOnPortfolio) {
   EXPECT_EQ((*exec)->stats().matches, batch->stats.matches);
 }
 
+TEST(StreamExecutor, CancellationDuringFinishSurfaces) {
+  // Four clusters, each ending in an open trailing star, so every match
+  // is emitted by Finish.  The first end-of-stream row requests
+  // cancellation: Finish must report it, not return OK with a partial
+  // answer, and the row already delivered stays delivered.
+  ExecOptions options;
+  CancelToken token = CancelToken::Cancellable();
+  options.governance.cancel = token;
+  std::vector<Row> rows;
+  auto exec = StreamingQueryExecutor::Create(
+      "SELECT X.name FROM quote CLUSTER BY name SEQUENCE BY date "
+      "AS (X, *Y) WHERE Y.price < Y.previous.price",
+      QuoteSchema(),
+      [&](const Row& r) {
+        rows.push_back(r);
+        token.RequestCancel();
+      },
+      options);
+  ASSERT_TRUE(exec.ok()) << exec.status();
+  Date d0(10000);
+  for (const char* name : {"A", "B", "C", "D"}) {
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE((*exec)->Push(QuoteRow(name, d0.AddDays(i), 10 - i)).ok());
+    }
+  }
+  ASSERT_TRUE(rows.empty()) << "every star group must still be open";
+  EXPECT_EQ((*exec)->Finish().code(), StatusCode::kCancelled);
+  EXPECT_EQ(rows.size(), 1u);
+}
+
 TEST(StreamExecutor, OutputSchemaExposed) {
   auto exec = StreamingQueryExecutor::Create(
       "SELECT X.name, COUNT(Y) AS n FROM quote CLUSTER BY name "
