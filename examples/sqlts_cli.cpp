@@ -497,7 +497,7 @@ int main(int argc, char** argv) {
       Status st = (*exec)->Finish();
       if (!st.ok()) return Fail(st);
       for (size_t k = 0; k < queries.size(); ++k) {
-        const StreamingQueryExecutor* q =
+        const StreamMember* q =
             (*exec)->query(static_cast<int>(k));
         if (q == nullptr) continue;
         std::fprintf(stderr, "query #%zu: %lld match(es)\n", k + 1,

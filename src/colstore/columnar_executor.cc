@@ -211,7 +211,7 @@ StatusOr<QueryResult> ColumnarExecutor::Execute(
   // compile once per query; each segment's matcher then answers
   // element tests from block verdicts.
   std::unique_ptr<VectorizedPlanEval> vec;
-  if (options.exec.vectorize && options.exec.shared_eval == nullptr) {
+  if (options.exec.vectorize) {
     vec = VectorizedPlanEval::Create(plan, footer.schema);
   }
   SQLTS_RETURN_IF_ERROR(options.exec.governance.Check());

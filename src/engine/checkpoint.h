@@ -27,7 +27,10 @@ namespace sqlts {
 /// understand and corruption is caught either by the checksum or by a
 /// typed read failing its bounds check.
 inline constexpr std::string_view kCheckpointMagic = "SQTSCKPT";
-inline constexpr uint32_t kCheckpointVersion = 1;
+/// Version 2: a streaming cluster is written once per scan group —
+/// rows from the lowest cursor reach, then each cursor's slot, floor
+/// and attempt state.  Other versions are refused.
+inline constexpr uint32_t kCheckpointVersion = 2;
 
 /// FNV-1a 64-bit hash (the header checksum).
 uint64_t Fnv1a64(std::string_view bytes);

@@ -96,7 +96,7 @@ StatusOr<QueryResult> QueryExecutor::ExecuteCompiled(
   // cluster's matcher then tests elements against cached block
   // verdicts instead of interpreting per tuple (answer-preserving).
   std::unique_ptr<VectorizedPlanEval> vec;
-  if (options.vectorize && options.shared_eval == nullptr) {
+  if (options.vectorize) {
     vec = VectorizedPlanEval::Create(result.plan, input.schema());
   }
   // The driver runs traced scans in order, so one log is safe.

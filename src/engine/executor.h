@@ -52,16 +52,13 @@ struct ExecOptions {
   /// preserving — output and SearchStats are bit-identical with the
   /// interpreter, which remains the fallback for non-vectorizable
   /// conjuncts (and the oracle the differential fuzzer compares
-  /// against).  Applies to batch and streaming execution; ignored when
-  /// `shared_eval` is set (the multi-query tier has its own kernel
-  /// cache).
+  /// against).  Single-query batch and columnar scans use it through
+  /// engine/vectorized_eval.h.  Streaming execution (one query or a
+  /// set) answers element tests from its scan group's per-cluster
+  /// predicate cache (engine/shared_cache.h), whose misses run the
+  /// catalog's kernels when this is set and the interpreter otherwise.
+  /// The batch multi-query executor always uses the catalog kernels.
   bool vectorize = true;
-  /// Multi-query seam (streaming): when set, the executor asks this
-  /// factory for one ElementEvaluator per cluster matcher, delegating
-  /// element predicate tests to it — the hook src/multiquery/ uses to
-  /// share per-tuple predicate results across the queries of one
-  /// workload.  Answer-preserving by contract; results are unchanged.
-  std::shared_ptr<ElementEvaluatorFactory> shared_eval;
 };
 
 /// The result of running a SQL-TS query: the projected output rows plus

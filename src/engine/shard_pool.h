@@ -68,11 +68,13 @@ class ShardPool {
  public:
   /// One unit of work: a row routed to the cluster with ordinal
   /// `cluster`.  `tag` is a producer-assigned sequence number used for
-  /// the ordered result merge.
+  /// the ordered result merge; `takers` marks, per standing query, the
+  /// ones the producer routed the row to.
   struct Task {
     Row row;
     uint64_t cluster = 0;
     uint64_t tag = 0;
+    std::vector<char> takers = {};
   };
 
   /// Consumes one task on the shard's worker thread.  Handlers must

@@ -1,16 +1,16 @@
 #ifndef SQLTS_ENGINE_SHARED_EVAL_H_
 #define SQLTS_ENGINE_SHARED_EVAL_H_
 
-#include <memory>
-#include <string>
+#include <vector>
 
 #include "expr/eval.h"
 #include "storage/sequence.h"
 
 namespace sqlts {
 
-/// Delegate for pattern-element predicate tests, the seam the
-/// multi-query subsystem (src/multiquery/) plugs into: when a matcher
+/// Delegate for pattern-element predicate tests, the seam shared
+/// predicate evaluation plugs into (engine/shared_cache.h, used by the
+/// streaming engine and the batch multi-query executor): when a matcher
 /// runs with an ElementEvaluator, every element test goes through
 /// Test() instead of evaluating plan.predicates[j] directly, which lets
 /// a workload-level driver answer repeated tests of the same canonical
@@ -37,24 +37,6 @@ class ElementEvaluator {
   /// TRUE elements (plan.predicates[j] == nullptr).
   virtual bool Test(int j, const SequenceView& seq, int64_t pos,
                     const std::vector<GroupSpan>& spans, int64_t abs_pos) = 0;
-};
-
-/// Builds one ElementEvaluator per cluster for a streaming query.  The
-/// executor calls MakeEvaluator when it creates a cluster's matcher;
-/// `encoded_cluster_key` (see EncodeClusterKey) identifies the cluster
-/// consistently across every query of a shared scan, so implementations
-/// can hand matchers of different queries views onto one shared
-/// per-cluster cache.  MakeEvaluator may be called from shard worker
-/// threads and must be thread-safe; the returned evaluator is used only
-/// by the matcher it was created for (single-threaded), but several
-/// evaluators of the same cluster may Test concurrently from different
-/// queries' workers — the shared state behind them must synchronize.
-class ElementEvaluatorFactory {
- public:
-  virtual ~ElementEvaluatorFactory() = default;
-
-  virtual std::unique_ptr<ElementEvaluator> MakeEvaluator(
-      const std::string& encoded_cluster_key) = 0;
 };
 
 }  // namespace sqlts

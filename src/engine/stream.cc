@@ -7,192 +7,321 @@
 #include "storage/sequence.h"
 
 namespace sqlts {
-namespace {
 
-/// Most negative relative offset used by any predicate of the plan
-/// (0 when none), and whether any predicate looks ahead.
-void ScanOffsets(const PatternPlan& plan, int* min_offset,
-                 bool* looks_ahead) {
-  *min_offset = 0;
-  *looks_ahead = false;
+Status CheckStreamRow(const Schema& schema, const Row& row) {
+  if (static_cast<int>(row.size()) != schema.num_columns()) {
+    return Status::InvalidArgument(
+        "row arity " + std::to_string(row.size()) + " != schema arity " +
+        std::to_string(schema.num_columns()));
+  }
+  for (int c = 0; c < schema.num_columns(); ++c) {
+    const Value& v = row[c];
+    if (v.is_null() || v.kind() == schema.column(c).type) continue;
+    if (schema.column(c).type == TypeKind::kDouble &&
+        v.kind() == TypeKind::kInt64) {
+      continue;  // SQL numeric coercion, applied at append time
+    }
+    return Status::TypeError(
+        "stream tuple column '" + schema.column(c).name + "' expects " +
+        std::string(TypeKindToString(schema.column(c).type)) + ", got " +
+        std::string(TypeKindToString(v.kind())));
+  }
+  return Status::OK();
+}
+
+StatusOr<int> OpsStreamMatcher::ReachBack(const PatternPlan& plan) {
+  int min_offset = 0;
+  bool looks_ahead = false;
   for (int j = 1; j <= plan.m; ++j) {
     if (plan.predicates[j] == nullptr) continue;
     VisitColumnRefs(plan.predicates[j], [&](const ColumnRef& r) {
       if (r.relative) {
-        *min_offset = std::min(*min_offset, r.total_offset);
-        if (r.total_offset > 0) *looks_ahead = true;
+        min_offset = std::min(min_offset, r.total_offset);
+        if (r.total_offset > 0) looks_ahead = true;
       } else if (r.nav_offset < 0) {
-        *min_offset = std::min(*min_offset, r.nav_offset);
+        min_offset = std::min(min_offset, r.nav_offset);
       }
     });
   }
+  if (looks_ahead) {
+    return Status::InvalidArgument(
+        "streaming match requires predicates without lookahead "
+        "(positive previous/next offsets)");
+  }
+  return min_offset;
 }
-
-}  // namespace
 
 StatusOr<OpsStreamMatcher> OpsStreamMatcher::Create(
     const PatternPlan* plan, Schema schema, MatchCallback on_match,
     const ExecGovernance* governance, ResourceLedger* ledger,
     ElementEvaluator* evaluator) {
   SQLTS_CHECK(plan != nullptr);
-  int min_offset = 0;
-  bool looks_ahead = false;
-  ScanOffsets(*plan, &min_offset, &looks_ahead);
-  if (looks_ahead) {
-    return Status::InvalidArgument(
-        "streaming match requires predicates without lookahead "
-        "(positive previous/next offsets)");
-  }
-  return OpsStreamMatcher(plan, std::move(schema), std::move(on_match),
-                          min_offset, governance, ledger, evaluator);
+  SQLTS_ASSIGN_OR_RETURN(int min_offset, ReachBack(*plan));
+  OpsStreamMatcher matcher(std::move(schema));
+  matcher.AddCursor(0, plan, min_offset, std::move(on_match), governance,
+                    ledger, evaluator);
+  return matcher;
 }
 
-OpsStreamMatcher::OpsStreamMatcher(const PatternPlan* plan, Schema schema,
-                                   MatchCallback on_match, int min_offset,
-                                   const ExecGovernance* governance,
-                                   ResourceLedger* ledger,
-                                   ElementEvaluator* evaluator)
-    : plan_(plan),
-      schema_(schema),
-      on_match_(std::move(on_match)),
-      min_offset_(min_offset),
-      gov_(governance),
-      ledger_(ledger),
-      buffer_(schema),
-      cursor_(plan, SearchOptions{.governance = governance,
-                                  .evaluator = evaluator}) {}
+OpsStreamMatcher::OpsStreamMatcher(Schema schema)
+    : schema_(schema), buffer_(std::move(schema)) {}
 
-void OpsStreamMatcher::Account(int64_t tuples, int64_t bytes) {
-  buffered_bytes_ += bytes;
-  peak_buffered_ = std::max(peak_buffered_, buffer_.num_rows());
-  peak_buffered_bytes_ = std::max(peak_buffered_bytes_, buffered_bytes_);
-  if (ledger_ != nullptr) {
-    ledger_->buffered_tuples.fetch_add(tuples, std::memory_order_relaxed);
-    ledger_->buffered_bytes.fetch_add(bytes, std::memory_order_relaxed);
-  }
+void OpsStreamMatcher::AddCursor(int slot, const PatternPlan* plan,
+                                 int min_offset, MatchCallback on_match,
+                                 const ExecGovernance* governance,
+                                 ResourceLedger* ledger,
+                                 ElementEvaluator* evaluator) {
+  if (slot >= static_cast<int>(cursors_.size())) cursors_.resize(slot + 1);
+  cursors_[slot] = std::make_unique<Cursor>(Cursor{
+      plan, min_offset, pushed_, std::move(on_match), governance, ledger,
+      OpsCursor(plan, SearchOptions{.governance = governance,
+                                    .evaluator = evaluator}),
+      0, 0});
+  cursors_[slot]->cursor.Reset(pushed_);
 }
 
-Status OpsStreamMatcher::CheckBudget() const {
-  if (gov_ == nullptr) return Status::OK();
-  const int64_t tuples =
-      ledger_ != nullptr
-          ? ledger_->buffered_tuples.load(std::memory_order_relaxed)
-          : buffer_.num_rows();
+void OpsStreamMatcher::DropCursor(int slot) {
+  if (!has_cursor(slot)) return;
+  cursors_[slot]->retired = true;
+  Charge(*cursors_[slot]);  // releases its ledger charge
+  cursors_[slot].reset();
+}
+
+int64_t OpsStreamMatcher::LowestReach() const {
+  int64_t reach = pushed_;
+  for (const auto& c : cursors_) {
+    if (c != nullptr && !c->retired) reach = std::min(reach, Reach(*c));
+  }
+  return reach;
+}
+
+void OpsStreamMatcher::Charge(Cursor& c) {
+  const int64_t tuples = c.retired ? 0 : pushed_ - Reach(c);
   const int64_t bytes =
-      ledger_ != nullptr
-          ? ledger_->buffered_bytes.load(std::memory_order_relaxed)
-          : buffered_bytes_;
-  if (gov_->max_buffered_tuples > 0 && tuples > gov_->max_buffered_tuples) {
+      tuples > 0 ? buffered_bytes_ * tuples / buffer_.num_rows() : 0;
+  if (c.ledger != nullptr) {
+    c.ledger->buffered_tuples.fetch_add(tuples - c.charged_tuples,
+                                        std::memory_order_relaxed);
+    c.ledger->buffered_bytes.fetch_add(bytes - c.charged_bytes,
+                                       std::memory_order_relaxed);
+  }
+  c.charged_tuples = tuples;
+  c.charged_bytes = bytes;
+}
+
+Status OpsStreamMatcher::CheckBudget(const Cursor& c) const {
+  const ExecGovernance* gov = c.gov;
+  if (gov == nullptr) return Status::OK();
+  const int64_t tuples =
+      c.ledger != nullptr
+          ? c.ledger->buffered_tuples.load(std::memory_order_relaxed)
+          : c.charged_tuples;
+  const int64_t bytes =
+      c.ledger != nullptr
+          ? c.ledger->buffered_bytes.load(std::memory_order_relaxed)
+          : c.charged_bytes;
+  if (gov->max_buffered_tuples > 0 && tuples > gov->max_buffered_tuples) {
     return Status::ResourceExhausted(
         "streaming buffer budget exceeded: " + std::to_string(tuples) +
         " tuples held live (budget " +
-        std::to_string(gov_->max_buffered_tuples) +
+        std::to_string(gov->max_buffered_tuples) +
         "); the active pattern attempt cannot release them");
   }
-  if (gov_->max_buffered_bytes > 0 && bytes > gov_->max_buffered_bytes) {
+  if (gov->max_buffered_bytes > 0 && bytes > gov->max_buffered_bytes) {
     return Status::ResourceExhausted(
         "streaming byte budget exceeded: ~" + std::to_string(bytes) +
         " bytes held live (budget " +
-        std::to_string(gov_->max_buffered_bytes) + ")");
+        std::to_string(gov->max_buffered_bytes) + ")");
   }
   return Status::OK();
 }
 
-Status OpsStreamMatcher::Push(Row row) {
-  if (gov_ != nullptr) {
-    SQLTS_RETURN_IF_ERROR(gov_->Check());
-    SQLTS_RETURN_IF_ERROR(gov_->Fault("matcher.append"));
-  }
-  const int64_t row_bytes = EstimateRowBytes(row);
-  SQLTS_RETURN_IF_ERROR(buffer_.AppendRow(std::move(row)));
+void OpsStreamMatcher::Append(Row row) {
+  buffered_bytes_ += EstimateRowBytes(row);
+  SQLTS_CHECK_OK(buffer_.AppendRow(std::move(row)));
   view_rows_.push_back(buffer_.num_rows() - 1);
   ++pushed_;
-  Account(+1, row_bytes);
-  SQLTS_RETURN_IF_ERROR(Drain(/*input_ends=*/false));
-  MaybeEvict();
-  return CheckBudget();
+  peak_buffered_ = std::max(peak_buffered_, buffer_.num_rows());
+  peak_buffered_bytes_ = std::max(peak_buffered_bytes_, buffered_bytes_);
 }
 
-Status OpsStreamMatcher::Finish() { return Drain(/*input_ends=*/true); }
+Status OpsStreamMatcher::Push(Row row) {
+  std::vector<Status> errors(cursors_.size());
+  Push(std::move(row), &errors);
+  for (Status& st : errors) {
+    if (!st.ok()) return st;
+  }
+  return Status::OK();
+}
 
-Status OpsStreamMatcher::Drain(bool input_ends) {
-  // A buffer-relative view borrowing the incrementally-grown index.
-  const SequenceView view(&buffer_, &view_rows_);
+void OpsStreamMatcher::Push(Row row, std::vector<Status>* errors) {
+  // Governance first: a cursor refused here does not consume the tuple.
+  taking_.clear();
+  for (size_t k = 0; k < cursors_.size(); ++k) {
+    Cursor* c = cursors_[k].get();
+    if (c == nullptr || c->retired) continue;
+    if (!(*errors)[k].ok()) {
+      // Failed earlier: it must neither see later tuples nor keep rows
+      // buffered for the cursors that go on.
+      c->retired = true;
+      Charge(*c);
+      continue;
+    }
+    if (c->gov != nullptr) {
+      Status st = c->gov->Check();
+      if (st.ok()) st = c->gov->Fault("matcher.append");
+      if (!st.ok()) {
+        (*errors)[k] = std::move(st);
+        continue;
+      }
+    }
+    taking_.push_back(static_cast<int>(k));
+  }
+  if (taking_.empty()) return;
+  Append(std::move(row));
+  for (int k : taking_) {
+    Cursor& c = *cursors_[k];
+    Status st = Drain(c, /*input_ends=*/false);
+    Charge(c);
+    if (st.ok()) st = CheckBudget(c);
+    if (!st.ok()) (*errors)[k] = std::move(st);
+  }
+  MaybeEvict();
+}
+
+Status OpsStreamMatcher::Finish() {
+  Status first = Status::OK();
+  for (size_t k = 0; k < cursors_.size(); ++k) {
+    if (cursors_[k] == nullptr) continue;
+    Status st = FinishCursor(static_cast<int>(k));
+    if (first.ok()) first = std::move(st);
+  }
+  return first;
+}
+
+Status OpsStreamMatcher::FinishCursor(int slot) {
+  Cursor& c = *cursors_[slot];
+  return c.retired ? Status::OK() : Drain(c, /*input_ends=*/true);
+}
+
+Status OpsStreamMatcher::Drain(Cursor& c, bool input_ends) {
+  // The cursor's view starts at its reach (never below the evicted
+  // prefix): nothing this drain tests or projects lies before it, and
+  // the tuples kept for other cursors stay out of sight.
+  const int64_t first = Reach(c);
+  const SequenceView view(&buffer_, &view_rows_, first - base_);
   while (true) {
     const OpsCursor::Signal signal =
-        cursor_.Advance(view, base_, pushed_, input_ends);
+        c.cursor.Advance(view, first, pushed_, input_ends);
     if (signal == OpsCursor::Signal::kExhausted) return Status::OK();
-    if (signal == OpsCursor::Signal::kStopped) return gov_->Check();
-    const Match match = cursor_.CurrentMatch();
-    if (on_match_) on_match_(match, view, base_);
-    cursor_.Reset(match.last() + 1);
+    if (signal == OpsCursor::Signal::kStopped) return c.gov->Check();
+    const Match match = c.cursor.CurrentMatch();
+    if (c.on_match) c.on_match(match, view, first);
+    c.cursor.Reset(match.last() + 1);
   }
 }
 
 void OpsStreamMatcher::MaybeEvict() {
-  // Everything before the earliest position any test of the active
-  // attempt (or its anchored references) can reach is dead.
-  const int64_t reachable_from = cursor_.start() + min_offset_;
-  const int64_t waste = reachable_from - base_;
+  // Everything before the earliest position any cursor's tests (or its
+  // anchored references) can reach is dead.
+  const int64_t waste = LowestReach() - base_;
   if (waste < 4096 || waste < buffer_.num_rows() / 2) return;
-  int64_t freed_bytes = 0;
-  for (int64_t r = 0; r < waste; ++r) {
-    freed_bytes += EstimateRowBytes(buffer_.GetRow(r));
-  }
   Table compacted(schema_);
-  for (int64_t r = waste; r < buffer_.num_rows(); ++r) {
-    SQLTS_CHECK_OK(compacted.AppendRow(buffer_.GetRow(r)));
+  for (int64_t r = 0; r < buffer_.num_rows(); ++r) {
+    Row row = buffer_.GetRow(r);
+    if (r < waste) {
+      buffered_bytes_ -= EstimateRowBytes(row);
+    } else {
+      SQLTS_CHECK_OK(compacted.AppendRow(std::move(row)));
+    }
   }
   buffer_ = std::move(compacted);
   view_rows_.resize(buffer_.num_rows());
   for (int64_t r = 0; r < buffer_.num_rows(); ++r) view_rows_[r] = r;
   base_ += waste;
-  Account(-waste, -freed_bytes);
 }
 
 void OpsStreamMatcher::Checkpoint(CheckpointWriter* writer) const {
-  // Plan fingerprint first, so restoring against a different pattern
-  // shape fails loudly instead of resuming into inconsistent state.
-  writer->WriteU32(static_cast<uint32_t>(plan_->m));
-  writer->WriteI64(min_offset_);
-  writer->WriteI64(base_);
+  // Rows are written once, from the lowest reach: rows below it are dead
+  // even if eviction has not dropped them yet.
+  const int64_t first = LowestReach();
   writer->WriteI64(pushed_);
-  cursor_.Save(writer);
-  writer->WriteU64(static_cast<uint64_t>(buffer_.num_rows()));
-  for (int64_t r = 0; r < buffer_.num_rows(); ++r) {
+  writer->WriteI64(first);
+  writer->WriteU64(static_cast<uint64_t>(pushed_ - first));
+  for (int64_t r = first - base_; r < buffer_.num_rows(); ++r) {
     writer->WriteRow(buffer_.GetRow(r));
+  }
+  uint32_t live = 0;
+  for (const auto& c : cursors_) live += c != nullptr ? 1 : 0;
+  writer->WriteU32(live);
+  for (size_t k = 0; k < cursors_.size(); ++k) {
+    const Cursor* c = cursors_[k].get();
+    if (c == nullptr) continue;
+    // Plan fingerprint first, so restoring against a different pattern
+    // shape fails loudly instead of resuming into inconsistent state.
+    writer->WriteU32(static_cast<uint32_t>(k));
+    writer->WriteU32(static_cast<uint32_t>(c->plan->m));
+    writer->WriteI64(c->min_offset);
+    writer->WriteI64(c->floor);
+    c->cursor.Save(writer);
   }
 }
 
-Status OpsStreamMatcher::RestoreState(CheckpointReader* reader) {
+Status OpsStreamMatcher::RestoreState(
+    CheckpointReader* reader,
+    const std::function<Status(int slot)>& add_cursor) {
   if (pushed_ != 0) {
     return Status::InvalidArgument(
         "RestoreState requires a freshly created matcher");
   }
-  SQLTS_ASSIGN_OR_RETURN(uint32_t m, reader->ReadU32());
-  if (static_cast<int>(m) != plan_->m) {
-    return Status::InvalidArgument(
-        "checkpoint pattern has " + std::to_string(m) +
-        " elements, plan has " + std::to_string(plan_->m));
-  }
-  SQLTS_ASSIGN_OR_RETURN(int64_t min_offset, reader->ReadI64());
-  if (static_cast<int>(min_offset) != min_offset_) {
-    return Status::InvalidArgument(
-        "checkpoint predicate window disagrees with the compiled plan");
-  }
-  SQLTS_ASSIGN_OR_RETURN(base_, reader->ReadI64());
-  SQLTS_ASSIGN_OR_RETURN(pushed_, reader->ReadI64());
-  SQLTS_RETURN_IF_ERROR(cursor_.Restore(reader, base_, pushed_));
+  SQLTS_ASSIGN_OR_RETURN(int64_t pushed, reader->ReadI64());
+  SQLTS_ASSIGN_OR_RETURN(int64_t first, reader->ReadI64());
   SQLTS_ASSIGN_OR_RETURN(uint64_t rows, reader->ReadU64());
-  if (rows != static_cast<uint64_t>(pushed_ - base_)) {
+  if (first < 0 || first > pushed ||
+      rows != static_cast<uint64_t>(pushed - first)) {
     return Status::IoError("checkpoint buffer disagrees with its position");
   }
   for (uint64_t r = 0; r < rows; ++r) {
     SQLTS_ASSIGN_OR_RETURN(Row row, reader->ReadRow());
-    const int64_t row_bytes = EstimateRowBytes(row);
-    SQLTS_RETURN_IF_ERROR(buffer_.AppendRow(std::move(row)));
-    view_rows_.push_back(buffer_.num_rows() - 1);
-    Account(+1, row_bytes);
+    // A checksum-valid payload may still carry a row the schema refuses;
+    // that is corruption, not a caller's type error.
+    Status fits = CheckStreamRow(schema_, row);
+    if (!fits.ok()) {
+      return Status::IoError("checkpoint row " + std::to_string(r) +
+                             " does not fit the schema: " + fits.message());
+    }
+    Append(std::move(row));
+  }
+  base_ = first;
+  pushed_ = pushed;
+  SQLTS_ASSIGN_OR_RETURN(uint32_t count, reader->ReadU32());
+  for (uint32_t n = 0; n < count; ++n) {
+    SQLTS_ASSIGN_OR_RETURN(uint32_t saved_slot, reader->ReadU32());
+    const int slot = static_cast<int>(saved_slot);
+    if (add_cursor != nullptr) SQLTS_RETURN_IF_ERROR(add_cursor(slot));
+    if (!has_cursor(slot)) {
+      return Status::IoError("checkpoint names cursor " +
+                             std::to_string(saved_slot) +
+                             ", which this matcher does not have");
+    }
+    Cursor& c = *cursors_[slot];
+    SQLTS_ASSIGN_OR_RETURN(uint32_t m, reader->ReadU32());
+    if (static_cast<int>(m) != c.plan->m) {
+      return Status::InvalidArgument(
+          "checkpoint pattern has " + std::to_string(m) +
+          " elements, plan has " + std::to_string(c.plan->m));
+    }
+    SQLTS_ASSIGN_OR_RETURN(int64_t min_offset, reader->ReadI64());
+    if (min_offset != c.min_offset) {
+      return Status::InvalidArgument(
+          "checkpoint predicate window disagrees with the compiled plan");
+    }
+    SQLTS_ASSIGN_OR_RETURN(c.floor, reader->ReadI64());
+    SQLTS_RETURN_IF_ERROR(c.cursor.Restore(reader, c.floor, pushed_));
+    if (Reach(c) < first) {
+      return Status::IoError("checkpoint cursor reaches below its rows");
+    }
+    Charge(c);
   }
   return Status::OK();
 }

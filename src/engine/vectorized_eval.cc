@@ -62,13 +62,13 @@ class VectorizedElementEvaluator final : public ElementEvaluator {
       : plan_(plan), slots_(plan->num_slots_) {}
 
   bool Test(int j, const SequenceView& seq, int64_t pos,
-            const std::vector<GroupSpan>& spans, int64_t abs_pos) override {
+            const std::vector<GroupSpan>& spans, int64_t) override {
     const auto& conjuncts = plan_->elements_[j];
     SQLTS_CHECK(!conjuncts.empty()) << "Test on TRUE element " << j;
     for (const auto& c : conjuncts) {
       bool sat;
       if (c.kernel != nullptr) {
-        sat = TestKernel(c, seq, pos, abs_pos);
+        sat = TestKernel(c, seq, pos);
       } else {
         EvalContext ctx;
         ctx.seq = &seq;
@@ -82,61 +82,22 @@ class VectorizedElementEvaluator final : public ElementEvaluator {
   }
 
  private:
-  struct CachedBlock {
-    int valid = 0;  // lanes [0, valid) are filled and final
-    BlockVerdict v;
-  };
-  struct SlotCache {
-    std::unordered_map<int64_t, CachedBlock> blocks;
-  };
-
   bool TestKernel(const VectorizedPlanEval::Conjunct& c,
-                  const SequenceView& seq, int64_t pos, int64_t abs_pos) {
-    const int64_t base = abs_pos - pos;  // 0 in batch execution
-    const int64_t block = abs_pos / kKernelBlock;
-    const int lane = static_cast<int>(abs_pos % kKernelBlock);
-    SlotCache& cache = slots_[c.cache_slot];
-    CachedBlock& cb = cache.blocks[block];
-    if (lane >= cb.valid) {
-      // Fill up to the last lane whose position has arrived.  In batch
-      // the view is complete, so every computed verdict is final; in
-      // streaming the plan has no lookahead (max_offset <= 0), so a
-      // lane is final as soon as its own tuple is buffered.
-      const int64_t abs0 = block * kKernelBlock;
-      const int64_t limit = base + seq.size() - abs0;
+                  const SequenceView& seq, int64_t pos) {
+    const int64_t pos0 = pos / kKernelBlock * kKernelBlock;
+    auto [block, fresh] = slots_[c.cache_slot].try_emplace(pos0);
+    if (fresh) {
+      // The batch view is complete: one sweep fills the block for good.
       const int lane_end =
-          static_cast<int>(std::min<int64_t>(kKernelBlock, limit));
-      SQLTS_CHECK(lane < lane_end) << "test beyond buffered data";
-      BlockVerdict fresh;
-      c.kernel->EvalBlock(seq, abs0 - base, cb.valid, lane_end, &scratch_,
-                          &fresh);
-      for (int w = 0; w < kKernelWords; ++w) {
-        cb.v.true_bits[w] |= fresh.true_bits[w];
-        cb.v.null_bits[w] |= fresh.null_bits[w];
-      }
-      cb.valid = lane_end;
-      MaybePrune(&cache, base);
+          static_cast<int>(std::min<int64_t>(kKernelBlock, seq.size() - pos0));
+      c.kernel->EvalBlock(seq, pos0, 0, lane_end, &scratch_, &block->second);
     }
-    return cb.v.True(lane);
-  }
-
-  /// Blocks wholly below the working view's base can never be queried
-  /// again (tests happen at buffered positions: abs_pos >= base, and
-  /// base is nondecreasing) — drop them so long streams stay bounded.
-  void MaybePrune(SlotCache* cache, int64_t base) {
-    if (cache->blocks.size() < 64) return;
-    const int64_t min_block = base / kKernelBlock;
-    for (auto it = cache->blocks.begin(); it != cache->blocks.end();) {
-      if (it->first < min_block) {
-        it = cache->blocks.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    return block->second.True(static_cast<int>(pos - pos0));
   }
 
   const VectorizedPlanEval* plan_;
-  std::vector<SlotCache> slots_;
+  /// Per kernel slot: verdict blocks keyed by their first position.
+  std::vector<std::unordered_map<int64_t, BlockVerdict>> slots_;
   KernelScratch scratch_;
 };
 

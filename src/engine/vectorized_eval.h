@@ -11,12 +11,13 @@
 
 namespace sqlts {
 
-/// The vectorized predicate-evaluation tier for single-query execution
-/// (batch and streaming): compiles every vectorizable tuple-local
-/// conjunct of a pattern plan into a PredicateKernel once, then hands
-/// each matcher an ElementEvaluator that answers element tests from
-/// per-block verdict bitmasks — one tight kernel loop per
-/// kKernelBlock tuples instead of one interpreter walk per test.
+/// The vectorized predicate-evaluation tier for single-query batch and
+/// columnar scans: compiles every vectorizable tuple-local conjunct of
+/// a pattern plan into a PredicateKernel once, then hands each matcher
+/// an ElementEvaluator that answers element tests from per-block
+/// verdict bitmasks — one tight kernel loop per kKernelBlock tuples
+/// instead of one interpreter walk per test.  (Streaming answers from
+/// the scan group's predicate cache, engine/shared_cache.h.)
 ///
 /// Answer preservation (the ElementEvaluator contract):
 ///  - An element's predicate is the conjunction of its top-level
@@ -27,20 +28,9 @@ namespace sqlts {
 ///    multi-query evaluator relies on.
 ///  - Kernel conjuncts are tuple-local (relative references only), so
 ///    their verdict at a position is independent of match state and
-///    can be cached per absolute position.
+///    can be cached per position of the (complete) cluster view.
 ///  - Non-vectorizable conjuncts (anchored references, strings, ...)
 ///    are interpreted per test, exactly as before.
-///
-/// Streaming safety: verdicts are cached per absolute position while
-/// the working view grows and evicts.  A block's lanes are filled
-/// incrementally, never beyond the tuples that have arrived; streaming
-/// plans reject lookahead (offsets <= 0), so a filled lane's verdict
-/// is final the moment every referenced cell exists.  The eviction
-/// invariant base <= start + min_offset guarantees any lane whose
-/// computation could have seen an evicted cell is never queried again
-/// (see the matcher's invariants in engine/stream.cc), so cached
-/// verdicts always equal what the interpreter would answer at query
-/// time.
 class VectorizedPlanEval {
  public:
   /// Compiles kernels for `plan` over `schema`.  Returns nullptr when
@@ -55,9 +45,6 @@ class VectorizedPlanEval {
   /// One evaluator per matcher (single-threaded use); this factory
   /// object is immutable and safe to call from concurrent shards.
   std::unique_ptr<ElementEvaluator> MakeEvaluator() const;
-
-  /// Number of distinct compiled kernels (diagnostics / tests).
-  int num_kernels() const { return static_cast<int>(kernels_.size()); }
 
  private:
   friend class VectorizedElementEvaluator;

@@ -7,7 +7,7 @@
 #include "analysis/linter.h"
 #include "engine/explain.h"
 #include "engine/scan_driver.h"
-#include "multiquery/shared_cache.h"
+#include "engine/shared_cache.h"
 #include "storage/sequence.h"
 
 namespace sqlts {

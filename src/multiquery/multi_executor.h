@@ -6,7 +6,7 @@
 
 #include "common/statusor.h"
 #include "engine/executor.h"
-#include "multiquery/predicate_catalog.h"
+#include "engine/predicate_catalog.h"
 #include "storage/table.h"
 
 namespace sqlts {

@@ -1,19 +1,12 @@
 #include "multiquery/multi_stream.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "engine/checkpoint.h"
+#include "engine/shared_cache.h"
 
 namespace sqlts {
-namespace {
-
-/// Streaming memo horizon per predicate per cluster.  Attempts probe a
-/// bounded window around the stream head, so a modest ring captures
-/// virtually all cross-query re-tests; a wrapped slot only costs a
-/// re-evaluation.
-constexpr int64_t kStreamCacheWindow = 4096;
-
-}  // namespace
 
 StatusOr<std::unique_ptr<MultiStreamExecutor>> MultiStreamExecutor::Create(
     Schema schema, const ExecOptions& options) {
@@ -28,17 +21,6 @@ StatusOr<int> MultiStreamExecutor::AddQuery(std::string_view query_text,
   return AddQueryLocked(query_text, std::move(on_row), pushed_, governance);
 }
 
-Status MultiStreamExecutor::QuiesceGroupLocked(const std::string& sig) {
-  // Shard workers of the group's live queries read the shared catalog
-  // through their cluster caches; drain them before mutating it.  With
-  // num_threads == 1 every Quiesce is a no-op.
-  for (Registered& r : queries_) {
-    if (r.exec == nullptr || r.group_sig != sig) continue;
-    SQLTS_RETURN_IF_ERROR(r.exec->Quiesce());
-  }
-  return Status::OK();
-}
-
 StatusOr<int> MultiStreamExecutor::AddQueryLocked(
     std::string_view query_text, RowCallback on_row, int64_t epoch,
     const ExecGovernance* governance) {
@@ -46,61 +28,58 @@ StatusOr<int> MultiStreamExecutor::AddQueryLocked(
                          CompileQueryText(query_text, schema_));
   SQLTS_ASSIGN_OR_RETURN(std::string sig,
                          ScanGroupSignature(schema_, compiled));
-  SQLTS_RETURN_IF_ERROR(QuiesceGroupLocked(sig));
-  std::shared_ptr<SharedEvalManager>& manager = groups_[sig];
-  if (manager == nullptr) {
-    manager = std::make_shared<SharedEvalManager>(
-        schema_, options_.compile.oracle, kStreamCacheWindow);
+  auto group = std::find_if(groups_.begin(), groups_.end(),
+                            [&sig](const auto& g) { return g.first == sig; });
+  std::unique_ptr<StreamEngine> fresh;
+  StreamEngine* engine = nullptr;
+  if (group != groups_.end()) {
+    engine = group->second.get();
+  } else {
+    SQLTS_ASSIGN_OR_RETURN(fresh,
+                           StreamEngine::Create(schema_, compiled, options_));
+    engine = fresh.get();
   }
-  QueryConjuncts conjuncts = manager->Register(compiled);
-  ExecOptions query_options = options_;
-  if (governance != nullptr) query_options.governance = *governance;
-  query_options.shared_eval = std::make_shared<QuerySharedEvalFactory>(
-      manager, std::move(conjuncts), epoch);
   SQLTS_ASSIGN_OR_RETURN(
-      std::unique_ptr<StreamingQueryExecutor> exec,
-      StreamingQueryExecutor::Create(query_text, schema_, std::move(on_row),
-                                     query_options));
-  Registered r;
-  r.text = std::string(query_text);
-  r.group_sig = std::move(sig);
-  r.epoch = epoch;
-  r.exec = std::move(exec);
-  queries_.push_back(std::move(r));
+      int member,
+      engine->AddMember(std::move(compiled), std::move(on_row),
+                        governance != nullptr ? *governance
+                                              : options_.governance,
+                        epoch));
+  if (fresh != nullptr) groups_.emplace_back(std::move(sig), std::move(fresh));
+  queries_.push_back({std::string(query_text), epoch, engine, member});
   return static_cast<int>(queries_.size()) - 1;
+}
+
+int MultiStreamExecutor::QueryId(const StreamEngine* engine,
+                                 int member) const {
+  for (size_t id = 0; id < queries_.size(); ++id) {
+    if (queries_[id].engine == engine && queries_[id].member == member) {
+      return static_cast<int>(id);
+    }
+  }
+  return -1;
+}
+
+const MultiStreamExecutor::Registered* MultiStreamExecutor::LiveLocked(
+    int id) const {
+  if (id < 0 || id >= static_cast<int>(queries_.size()) ||
+      queries_[id].engine == nullptr) {
+    return nullptr;
+  }
+  return &queries_[id];
 }
 
 Status MultiStreamExecutor::RemoveQuery(int id) {
   ts::MutexLock lock(mu_);
-  if (id < 0 || id >= static_cast<int>(queries_.size())) {
-    return Status::InvalidArgument("no query with id " + std::to_string(id));
+  if (LiveLocked(id) == nullptr) {
+    return Status::InvalidArgument("no live query with id " +
+                                   std::to_string(id));
   }
-  if (queries_[id].exec == nullptr) {
-    return Status::InvalidArgument("query " + std::to_string(id) +
-                                   " already removed");
-  }
-  // Cancel: drop the matcher without Finish(), so no end-of-stream
+  // Cancel: drop the cursors without Finish(), so no end-of-stream
   // matches are emitted.  The catalog keeps its registrations (stale
-  // entries are harmless; a re-added identical query re-merges), but
-  // the epoch-namespaced cluster caches are freed once their last
-  // member leaves — evaluators hold raw pointers into them, so the
-  // release is gated on the epoch refcount below.
-  const std::string sig = queries_[id].group_sig;
-  const int64_t epoch = queries_[id].epoch;
-  // Destroying the executor joins its own shard workers, so after this
-  // line nothing of query `id` can touch the shared caches.
-  queries_[id].exec.reset();
-  bool epoch_live = false;
-  for (const Registered& r : queries_) {
-    if (r.exec != nullptr && r.group_sig == sig && r.epoch == epoch) {
-      epoch_live = true;
-      break;
-    }
-  }
-  if (!epoch_live) {
-    auto it = groups_.find(sig);
-    if (it != groups_.end()) it->second->ReleaseEpoch(epoch);
-  }
+  // entries are harmless; a re-added identical query re-merges).
+  queries_[id].engine->RemoveMember(queries_[id].member);
+  queries_[id].engine = nullptr;
   return Status::OK();
 }
 
@@ -120,12 +99,16 @@ Status MultiStreamExecutor::Push(Row row, std::vector<QueryError>* errors) {
 Status MultiStreamExecutor::PushLocked(Row row,
                                        std::vector<QueryError>* errors) {
   ++pushed_;
-  for (size_t id = 0; id < queries_.size(); ++id) {
-    Registered& r = queries_[id];
-    if (r.exec == nullptr) continue;
-    Status st = r.exec->Push(row);
-    if (!st.ok() && errors != nullptr) {
-      errors->push_back({static_cast<int>(id), std::move(st)});
+  std::vector<StreamEngine::MemberError> failed;
+  for (size_t g = 0; g < groups_.size(); ++g) {
+    StreamEngine& engine = *groups_[g].second;
+    if (engine.num_live_members() == 0) continue;
+    failed.clear();
+    Status st = g + 1 < groups_.size() ? engine.Push(row, &failed)
+                                       : engine.Push(std::move(row), &failed);
+    if (!st.ok()) return st;
+    for (StreamEngine::MemberError& e : failed) {
+      errors->push_back({QueryId(&engine, e.index), std::move(e.status)});
     }
   }
   return Status::OK();
@@ -133,30 +116,26 @@ Status MultiStreamExecutor::PushLocked(Row row,
 
 Status MultiStreamExecutor::Finish() {
   ts::MutexLock lock(mu_);
-  Status first = Status::OK();
-  for (Registered& r : queries_) {
-    if (r.exec == nullptr) continue;
-    Status st = r.exec->Finish();
-    if (!st.ok() && first.ok()) first = st;
+  for (auto& group : groups_) (void)group.second->Finish();
+  for (const Registered& r : queries_) {
+    if (r.engine == nullptr) continue;
+    const Status& st = r.engine->member(r.member)->final_status();
+    if (!st.ok()) return st;
   }
-  return first;
+  return Status::OK();
 }
 
 Status MultiStreamExecutor::Checkpoint(std::string* out) {
   ts::MutexLock lock(mu_);
   CheckpointWriter w;
   w.WriteU64(static_cast<uint64_t>(queries_.size()));
-  for (Registered& r : queries_) {
+  for (const Registered& r : queries_) {
     w.WriteString(r.text);
     w.WriteI64(r.epoch);
-    w.WriteBool(r.exec != nullptr);
-    if (r.exec != nullptr) {
-      std::string sub;
-      SQLTS_RETURN_IF_ERROR(r.exec->Checkpoint(&sub));
-      w.WriteString(sub);
-    }
+    w.WriteBool(r.engine != nullptr);
   }
   w.WriteI64(pushed_);
+  for (auto& group : groups_) SQLTS_RETURN_IF_ERROR(group.second->Save(&w));
   MultiQueryStats s = StatsLocked();
   w.WriteI64(s.shared_lookups);
   w.WriteI64(s.shared_evals);
@@ -181,34 +160,33 @@ Status MultiStreamExecutor::Restore(std::string_view bytes,
     SQLTS_ASSIGN_OR_RETURN(std::string text, r.ReadString());
     SQLTS_ASSIGN_OR_RETURN(int64_t epoch, r.ReadI64());
     SQLTS_ASSIGN_OR_RETURN(bool live, r.ReadBool());
-    if (live) {
-      SQLTS_ASSIGN_OR_RETURN(std::string sub, r.ReadString());
-      // The original epoch carries over: restored matchers resume their
-      // saved positions, so cache alignment is decided by where each
-      // query originally joined the stream, not by the restore point.
-      SQLTS_ASSIGN_OR_RETURN(
-          int id,
-          AddQueryLocked(text, resolver(static_cast<int>(i), text), epoch,
-                         nullptr));
-      SQLTS_RETURN_IF_ERROR(queries_[id].exec->Restore(sub));
-    } else {
-      // Keep ids dense: a removed query stays a tombstone after restore.
-      Registered dead;
-      dead.text = std::move(text);
-      dead.epoch = epoch;
-      queries_.push_back(std::move(dead));
+    // The original epoch carries over: restored cursors resume their
+    // saved floors, so cache sharing is decided by where each query
+    // originally joined the stream, not by the restore point.  A
+    // removed query is re-registered and removed again, so ids, scan
+    // groups and member slots line up with the saved ones.
+    SQLTS_ASSIGN_OR_RETURN(
+        int id, AddQueryLocked(text, live ? resolver(static_cast<int>(i), text)
+                                          : nullptr,
+                               epoch, nullptr));
+    if (!live) {
+      queries_[id].engine->RemoveMember(queries_[id].member);
+      queries_[id].engine = nullptr;
     }
   }
   SQLTS_ASSIGN_OR_RETURN(pushed_, r.ReadI64());
-  // Shared-cache counters restart at zero in the fresh managers; carry
-  // the saved totals so stats() stays cumulative.  Subtract what the
-  // re-registration above already re-counted (nothing — registration
-  // touches only catalog stats, which rebuild deterministically).
+  for (auto& group : groups_) SQLTS_RETURN_IF_ERROR(group.second->Load(&r));
+  // Shared-cache counters restart at zero in the fresh engines; carry
+  // the saved totals so stats() stays cumulative.
   SQLTS_ASSIGN_OR_RETURN(baseline_.shared_lookups, r.ReadI64());
   SQLTS_ASSIGN_OR_RETURN(baseline_.shared_evals, r.ReadI64());
   SQLTS_ASSIGN_OR_RETURN(baseline_.cache_hits, r.ReadI64());
   SQLTS_ASSIGN_OR_RETURN(baseline_.inferred_hits, r.ReadI64());
   SQLTS_ASSIGN_OR_RETURN(baseline_.private_evals, r.ReadI64());
+  if (r.remaining() != 0) {
+    return Status::IoError("checkpoint has " + std::to_string(r.remaining()) +
+                           " trailing bytes");
+  }
   return Status::OK();
 }
 
@@ -217,11 +195,11 @@ MultiQueryStats MultiStreamExecutor::StatsLocked() const {
   s.num_scan_groups = static_cast<int>(groups_.size());
   s.tuples_scanned = pushed_;
   for (const Registered& r : queries_) {
-    if (r.exec != nullptr) ++s.num_queries;
+    if (r.engine != nullptr) ++s.num_queries;
   }
-  for (const auto& entry : groups_) {
-    s.AddCatalog(entry.second->catalog().stats());
-    s.SnapshotCounters(entry.second->counters_ref());
+  for (const auto& group : groups_) {
+    s.AddCatalog(group.second->catalog().stats());
+    s.SnapshotCounters(group.second->counters());
   }
   return s;
 }
@@ -235,7 +213,7 @@ int MultiStreamExecutor::num_queries() const {
   ts::MutexLock lock(mu_);
   int live = 0;
   for (const Registered& r : queries_) {
-    if (r.exec != nullptr) ++live;
+    if (r.engine != nullptr) ++live;
   }
   return live;
 }
@@ -255,19 +233,25 @@ StatusOr<int64_t> MultiStreamExecutor::query_epoch(int id) const {
 
 StatusOr<int64_t> MultiStreamExecutor::rows_emitted(int id) const {
   ts::MutexLock lock(mu_);
-  if (id < 0 || id >= static_cast<int>(queries_.size()) ||
-      queries_[id].exec == nullptr) {
+  const Registered* r = LiveLocked(id);
+  if (r == nullptr) {
     return Status::InvalidArgument("no live query with id " +
                                    std::to_string(id));
   }
-  return queries_[id].exec->rows_emitted();
+  return r->engine->member(r->member)->rows_emitted();
 }
 
 int64_t MultiStreamExecutor::num_epoch_caches() const {
   ts::MutexLock lock(mu_);
   int64_t total = 0;
-  for (const auto& entry : groups_) total += entry.second->num_caches();
+  for (const auto& group : groups_) total += group.second->num_epoch_caches();
   return total;
+}
+
+const StreamMember* MultiStreamExecutor::query(int id) const {
+  ts::MutexLock lock(mu_);
+  const Registered* r = LiveLocked(id);
+  return r != nullptr ? r->engine->member(r->member) : nullptr;
 }
 
 }  // namespace sqlts

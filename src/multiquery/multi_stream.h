@@ -2,55 +2,37 @@
 #define SQLTS_MULTIQUERY_MULTI_STREAM_H_
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/statusor.h"
 #include "common/thread_annotations.h"
+#include "engine/predicate_catalog.h"
 #include "engine/stream_executor.h"
-#include "multiquery/predicate_catalog.h"
-#include "multiquery/shared_cache.h"
 
 namespace sqlts {
 
-/// Streaming shared multi-query execution: a registry of
-/// StreamingQueryExecutors fed from one Push() stream, with the queries
-/// of each scan group sharing per-cluster predicate memos through
-/// ExecOptions::shared_eval.  Output is inherently demultiplexed — each
-/// query delivers rows to its own callback, in exactly the
-/// deterministic (tag, seq)-merged order its standalone executor
-/// produces at any thread count.
-///
-/// Queries register and deregister mid-stream: AddQuery() starts a
-/// query at the current stream position (it sees only subsequent
-/// tuples, like a standalone executor created now); RemoveQuery()
-/// cancels one without emitting its pending matches.  Checkpoint()
-/// captures the whole registered set — every query's text and full
-/// matcher state plus the workload counters — and Restore() reinstates
-/// it on a freshly created instance, re-resolving per-query callbacks
-/// through the caller's resolver.
+/// Streaming shared multi-query execution: a registry of StreamEngines,
+/// one per scan group, fed from one Push() stream.  Each query delivers
+/// rows to its own callback, exactly as its standalone executor would
+/// at any thread count.  AddQuery() starts a query at the current
+/// stream position (it sees only later tuples); RemoveQuery() cancels
+/// one without emitting its pending matches.  Checkpoint() captures the
+/// registered set and Restore() reinstates it on a fresh instance,
+/// re-resolving callbacks through the caller's resolver.
 ///
 /// Locking contract (the seam sqlts_server relies on): every public
-/// method serializes on one internal mutex, so AddQuery / RemoveQuery /
-/// Push / Finish / Checkpoint / stats may be called concurrently from
-/// different threads — a session thread can register or cancel a query
-/// while the server's ingest thread is pushing tuples.  Two
-/// consequences callers must respect:
-///  - Row callbacks of single-threaded member executors run inside
-///    Push/Finish, i.e. while the executor mutex is held.  A callback
-///    must not call back into this MultiStreamExecutor (re-entrancy
-///    would self-deadlock); hand rows off to a queue instead.
-///  - With options.num_threads > 1, AddQuery/RemoveQuery first quiesce
-///    the shard workers of the affected scan group
-///    (StreamingQueryExecutor::Quiesce) before touching the shared
-///    predicate catalog or the epoch-namespaced caches, because workers
-///    read the catalog through their cluster caches between pushes.
+/// method serializes on one internal mutex, so a session thread can
+/// register or cancel a query while the ingest thread pushes.  Row
+/// callbacks run while that mutex is held: a callback must not call
+/// back into this executor (it would self-deadlock); hand rows off to
+/// a queue instead.
 class MultiStreamExecutor {
  public:
-  using RowCallback = StreamingQueryExecutor::RowCallback;
+  using RowCallback = StreamEngine::RowCallback;
   /// Supplies the output callback for restored query `index`
   /// (registration order, as returned by AddQuery) with text `text`.
   using CallbackResolver =
@@ -66,37 +48,29 @@ class MultiStreamExecutor {
       Schema schema, const ExecOptions& options = {});
 
   /// Registers `query_text`, returning its id (dense, registration
-  /// order, stable across RemoveQuery).  Thread-safe; may be called
-  /// concurrently with Push from another thread.  When `governance` is
-  /// non-null it overrides ExecOptions::governance for this query only
-  /// (per-session budgets, deadline, cancellation).
+  /// order, stable across RemoveQuery).  A non-null `governance`
+  /// overrides ExecOptions::governance for this query only.
   StatusOr<int> AddQuery(std::string_view query_text, RowCallback on_row,
                          const ExecGovernance* governance = nullptr);
 
-  /// Cancels query `id`: no further rows are delivered, its matcher
-  /// state is dropped without running end-of-stream completion.  When
-  /// the removed query is the last member of its registration epoch,
-  /// the epoch's cluster caches are freed (registry invariant: epochs
-  /// never leak; see SharedEvalManager::ReleaseEpoch).  Thread-safe.
+  /// Cancels query `id` without end-of-stream completion; the last
+  /// query of a registration epoch frees the epoch's caches.
   Status RemoveQuery(int id);
 
-  /// Feeds `row` to every live query.  The first error encountered is
-  /// returned, but the row is still offered to the remaining queries so
-  /// their stream positions stay aligned.  Thread-safe.
+  /// Feeds `row` to every live query; returns the first query's error.
   Status Push(Row row);
 
-  /// Push with per-query error attribution: each failing member is
-  /// reported in `errors` with its id, and the overall Status is OK
-  /// unless the executor itself is unusable — so a server can fail (and
-  /// remove) exactly the member whose budget or deadline tripped while
-  /// the rest of the stream continues.  Thread-safe.
+  /// Push reporting each failing query by id in `errors`; the Status is
+  /// OK unless the executor itself is unusable, so a server can drop
+  /// exactly the query whose budget or deadline tripped.
   Status Push(Row row, std::vector<QueryError>* errors);
 
   /// End-of-stream for every live query, in registration order.
   Status Finish();
 
-  /// Serializes the registered set: per-query text + sub-checkpoint,
-  /// stream position, and the shared-evaluation counters.
+  /// Serializes the registered set: per-query text and epoch, stream
+  /// position, each scan group's state (StreamEngine::Save), and the
+  /// shared-evaluation counters.
   Status Checkpoint(std::string* out);
 
   /// Reinstates a Checkpoint() on a fresh instance (same schema and
@@ -113,39 +87,31 @@ class MultiStreamExecutor {
   /// Total tuples offered to Push().
   int64_t rows_consumed() const;
 
-  /// Stream position at which query `id` was registered — the suffix
-  /// of the stream it observes, which a standalone oracle run must
-  /// start from to reproduce its output.  InvalidArgument for unknown
-  /// ids.  Thread-safe.
+  /// Stream position at which query `id` was registered: a standalone
+  /// run fed the stream from there reproduces its output.
+  /// InvalidArgument for unknown ids.
   StatusOr<int64_t> query_epoch(int id) const;
 
-  /// Output watermark of query `id`: rows delivered to its callback so
-  /// far (StreamingQueryExecutor::rows_emitted, persisted across
-  /// Checkpoint/Restore).  InvalidArgument for unknown or removed ids.
-  /// Thread-safe.
+  /// StreamMember::rows_emitted of query `id`; InvalidArgument for
+  /// unknown or removed ids.
   StatusOr<int64_t> rows_emitted(int id) const;
 
-  /// Live epoch-namespaced cluster caches across every scan group (the
-  /// registry invariant probed by tests: removing the last query of an
-  /// epoch must free all of that epoch's caches).
+  /// Live (epoch, cluster) predicate caches across every scan group.
   int64_t num_epoch_caches() const;
 
-  /// The underlying executor of query `id` (null if removed) — for
-  /// stats inspection; do not push to it directly.  Only meaningful
-  /// while no other thread is mutating the registry.
-  const StreamingQueryExecutor* query(int id) const {
-    ts::MutexLock lock(mu_);
-    return queries_[id].exec.get();
-  }
+  /// Query `id` as its scan group runs it (null if unknown or removed)
+  /// — for stats inspection.  Only meaningful while no other thread is
+  /// mutating the registry.
+  const StreamMember* query(int id) const;
 
  private:
   struct Registered {
     std::string text;
-    std::string group_sig;
     /// Stream position at registration: namespaces the shared caches so
-    /// only queries with aligned matcher position spaces share memos.
+    /// only queries that joined together share memos.
     int64_t epoch = 0;
-    std::unique_ptr<StreamingQueryExecutor> exec;  // null once removed
+    StreamEngine* engine = nullptr;  // null once removed
+    int member = -1;                 // index in `engine`
   };
 
   MultiStreamExecutor(Schema schema, const ExecOptions& options)
@@ -159,14 +125,16 @@ class MultiStreamExecutor {
   Status PushLocked(Row row, std::vector<QueryError>* errors)
       REQUIRES(mu_);
   MultiQueryStats StatsLocked() const REQUIRES(mu_);
-  /// Drains the shard workers of every live query in scan group `sig`
-  /// so the shared catalog/caches can be mutated safely.
-  Status QuiesceGroupLocked(const std::string& sig) REQUIRES(mu_);
+  /// The live entry of query `id`, or null.
+  const Registered* LiveLocked(int id) const REQUIRES(mu_);
+  /// Id of the live query that is `member` of `engine`.
+  int QueryId(const StreamEngine* engine, int member) const REQUIRES(mu_);
 
   Schema schema_;
   ExecOptions options_;
   mutable ts::Mutex mu_;
-  std::map<std::string, std::shared_ptr<SharedEvalManager>> groups_
+  /// One engine per scan group signature, in creation order.
+  std::vector<std::pair<std::string, std::unique_ptr<StreamEngine>>> groups_
       GUARDED_BY(mu_);
   std::vector<Registered> queries_ GUARDED_BY(mu_);
   int64_t pushed_ GUARDED_BY(mu_) = 0;

@@ -4,8 +4,8 @@
 #include <memory>
 #include <utility>
 
-#include "multiquery/predicate_catalog.h"
-#include "multiquery/shared_cache.h"
+#include "engine/predicate_catalog.h"
+#include "engine/shared_cache.h"
 #include "parser/analyzer.h"
 
 namespace sqlts {

@@ -3,14 +3,13 @@
 #include <algorithm>
 #include <utility>
 
-#include "engine/stream_executor.h"
 #include "multiquery/multi_stream.h"
 
 namespace sqlts {
 namespace replication {
 namespace {
 
-/// Canonical SearchStats rendering shared by both adapters.
+/// Canonical SearchStats rendering.
 std::string StatsString(const SearchStats& s) {
   return "evals=" + std::to_string(s.evaluations) +
          ";presat=" + std::to_string(s.presat_skips) +
@@ -18,38 +17,8 @@ std::string StatsString(const SearchStats& s) {
          ";matches=" + std::to_string(s.matches);
 }
 
-/// Adapter over one StreamingQueryExecutor (one output channel).  The
-/// executor is created at construction (StreamingQueryExecutor::Create
-/// registers the query), so InitFresh is a no-op and Restore applies
-/// directly — both are "a freshly created executor" per its contract.
-class SingleQueryEngine : public ReplicatedEngine {
- public:
-  explicit SingleQueryEngine(std::unique_ptr<StreamingQueryExecutor> exec)
-      : exec_(std::move(exec)) {}
-
-  Status InitFresh() override { return Status::OK(); }
-  Status Push(const Row& row) override { return exec_->Push(row); }
-  Status Finish() override { return exec_->Finish(); }
-  Status Checkpoint(std::string* out) override {
-    return exec_->Checkpoint(out);
-  }
-  Status Restore(std::string_view bytes) override {
-    return exec_->Restore(bytes);
-  }
-  int64_t rows_consumed() const override { return exec_->rows_consumed(); }
-  std::vector<int64_t> watermarks() const override {
-    return {exec_->rows_emitted()};
-  }
-  std::string StatsFingerprint() const override {
-    return StatsString(exec_->stats()) +
-           ";emitted=" + std::to_string(exec_->rows_emitted());
-  }
-
- private:
-  std::unique_ptr<StreamingQueryExecutor> exec_;
-};
-
-/// Adapter over a MultiStreamExecutor query set (channel i = query i).
+/// Adapter over a MultiStreamExecutor query set (channel i = query i);
+/// a single query is the set of one.
 /// Construction creates the empty executor; InitFresh registers the
 /// query set, Restore reinstates a replicated checkpoint instead (the
 /// MultiStreamExecutor::Restore contract requires a fresh instance with
@@ -99,7 +68,7 @@ class MultiQueryEngine : public ReplicatedEngine {
     // re-populates the memo caches).
     std::string fp;
     for (size_t i = 0; i < queries_.size(); ++i) {
-      const StreamingQueryExecutor* q = exec_->query(static_cast<int>(i));
+      const StreamMember* q = exec_->query(static_cast<int>(i));
       if (!fp.empty()) fp += "|";
       fp += q != nullptr ? StatsString(q->stats()) : "removed";
     }
@@ -117,20 +86,8 @@ class MultiQueryEngine : public ReplicatedEngine {
 EngineFactory MakeSingleQueryEngineFactory(std::string query_text,
                                            Schema schema,
                                            ExecOptions options) {
-  return [query_text = std::move(query_text), schema = std::move(schema),
-          options](const EngineSinks& sinks)
-             -> StatusOr<std::unique_ptr<ReplicatedEngine>> {
-    if (sinks.size() != 1) {
-      return Status::InvalidArgument(
-          "single-query engine factory needs exactly one sink, got " +
-          std::to_string(sinks.size()));
-    }
-    SQLTS_ASSIGN_OR_RETURN(
-        std::unique_ptr<StreamingQueryExecutor> exec,
-        StreamingQueryExecutor::Create(query_text, schema, sinks[0], options));
-    return std::unique_ptr<ReplicatedEngine>(
-        new SingleQueryEngine(std::move(exec)));
-  };
+  return MakeMultiQueryEngineFactory({std::move(query_text)},
+                                     std::move(schema), std::move(options));
 }
 
 EngineFactory MakeMultiQueryEngineFactory(std::vector<std::string> queries,

@@ -27,10 +27,9 @@ namespace replication {
 // atomics folded in by FoldMetrics().  Engines *inside* a node (the
 // sharded streaming executors) keep their own annotated locking.
 
-/// The streaming-engine surface the cluster replicates.  Two adapters
-/// exist: a single StreamingQueryExecutor and a whole MultiStreamExecutor
-/// query set — the failover machinery is identical, only the number of
-/// output channels differs.  An engine instance is single-use: a node
+/// The streaming-engine surface the cluster replicates: a
+/// MultiStreamExecutor query set, one output channel per query (a
+/// single query is the set of one).  An engine instance is single-use: a node
 /// creates one fresh, then either InitFresh() (empty start) or
 /// Restore() (from a replicated checkpoint), and pushes from there.
 class ReplicatedEngine {
@@ -63,7 +62,8 @@ using EngineFactory =
     std::function<StatusOr<std::unique_ptr<ReplicatedEngine>>(
         const EngineSinks& sinks)>;
 
-/// Factory over one streaming query (one output channel).
+/// Factory over one streaming query (one output channel): the query
+/// set of one.
 EngineFactory MakeSingleQueryEngineFactory(std::string query_text,
                                            Schema schema,
                                            ExecOptions options);

@@ -7,7 +7,7 @@
 #include <string>
 
 #include "common/thread_annotations.h"
-#include "multiquery/predicate_catalog.h"
+#include "engine/predicate_catalog.h"
 #include "server/json.h"
 
 namespace sqlts {

@@ -355,7 +355,7 @@ void StreamHub::ReplayLoop(int64_t generation) {
           }
         }
         for (Sub& sub : subs_) {
-          const StreamingQueryExecutor* q = exec_->query(sub.query_id);
+          const StreamMember* q = exec_->query(sub.query_id);
           Json end = Json::Obj();
           end.Set("type", Json::Str("STREAM_END"));
           end.Set("id", Json::Int(sub.req_id));

@@ -19,39 +19,45 @@ class SequenceView {
       : table_(table), owned_rows_(std::move(rows)), rows_(&owned_rows_) {}
 
   /// Borrowing form: `rows` must outlive the view (used by the
-  /// streaming matcher, whose index grows with every push).
-  SequenceView(const Table* table, const std::vector<int64_t>* rows)
-      : table_(table), rows_(rows) {}
+  /// streaming matcher, whose index grows with every push).  Position 0
+  /// is `rows[first]`: a streaming cursor that joined mid-stream sees
+  /// nothing before its floor.
+  SequenceView(const Table* table, const std::vector<int64_t>* rows,
+               int64_t first = 0)
+      : table_(table), rows_(rows), first_(first) {}
 
   SequenceView(const SequenceView& o)
-      : table_(o.table_), owned_rows_(o.owned_rows_) {
+      : table_(o.table_), owned_rows_(o.owned_rows_), first_(o.first_) {
     rows_ = o.rows_ == &o.owned_rows_ ? &owned_rows_ : o.rows_;
   }
   SequenceView(SequenceView&& o) noexcept
-      : table_(o.table_), owned_rows_(std::move(o.owned_rows_)) {
+      : table_(o.table_), owned_rows_(std::move(o.owned_rows_)),
+        first_(o.first_) {
     rows_ = o.rows_ == &o.owned_rows_ ? &owned_rows_ : o.rows_;
   }
   SequenceView& operator=(const SequenceView&) = delete;
   SequenceView& operator=(SequenceView&&) = delete;
 
   /// Number of tuples in this cluster's sequence.
-  int64_t size() const { return static_cast<int64_t>(rows_->size()); }
+  int64_t size() const {
+    return static_cast<int64_t>(rows_->size()) - first_;
+  }
 
   /// Value of column `col` of the tuple at sequence position `pos`
   /// (0-based).  Out-of-range positions are checked invariants; use
   /// `InRange` first for previous/next navigation.
   const Value& at(int64_t pos, int col) const {
-    return table_->at((*rows_)[pos], col);
+    return table_->at((*rows_)[first_ + pos], col);
   }
 
   bool InRange(int64_t pos) const { return pos >= 0 && pos < size(); }
 
   /// Underlying table row index of sequence position `pos`.
-  int64_t row_index(int64_t pos) const { return (*rows_)[pos]; }
+  int64_t row_index(int64_t pos) const { return (*rows_)[first_ + pos]; }
 
   /// Raw row-index array (size() entries; the vectorized kernels hoist
   /// this once per block instead of indexing through at() per cell).
-  const int64_t* row_data() const { return rows_->data(); }
+  const int64_t* row_data() const { return rows_->data() + first_; }
 
   const Table& table() const { return *table_; }
 
@@ -59,6 +65,7 @@ class SequenceView {
   const Table* table_;  // not owned
   std::vector<int64_t> owned_rows_;
   const std::vector<int64_t>* rows_;
+  int64_t first_ = 0;  // index into *rows_ of position 0
 };
 
 /// Result of applying CLUSTER BY + SEQUENCE BY to a table: one

@@ -163,7 +163,7 @@ TEST(CheckpointFormat, GoldenContainerBytes) {
   w.WriteValue(Value::Int64(5));
   w.WriteRow({Value::String("q"), Value::FromDate(Date(10000))});
   EXPECT_EQ(ToHex(w.Finalize()),
-            "53515453434b5054010000004200000000000000af3031197f1299db070201"
+            "53515453434b5054020000004200000000000000af3031197f1299db070201"
             "0000feffffffffffffff01000000000000f83f030000000000000073657100"
             "020500000000000000020000000401000000000000007105102700000000"
             "0000");
@@ -522,18 +522,18 @@ TEST(MatcherCheckpoint, GoldenPayloadBytes) {
   CheckpointWriter w;
   m->Checkpoint(&w);
   EXPECT_EQ(ToHex(w.Finalize()),
-            "53515453434b505401000000310100000000000055ca72221ff55ea60300"
-            "0000ffffffffffffffff0000000000000000040000000000000001000000"
-            "000000000400000000000000020000000004000000000000000000000001"
-            "000000000000000300000000000000000000000000000003000000010000"
-            "0000000000010000000000000002000000000000000300000000000000ff"
-            "ffffffffffffffffffffffffffffff040000000000000001000000000000"
-            "000100000000000000000000000000000004000000000000000300000004"
-            "010000000000000053051027000000000000030000000000001440030000"
-            "000401000000000000005305112700000000000003000000000000244003"
-            "000000040100000000000000530512270000000000000300000000000022"
-            "400300000004010000000000000053051327000000000000030000000000"
-            "002040");
+            "53515453434b50540200000041010000000000009a4eeee926724be00400"
+            "000000000000000000000000000004000000000000000300000004010000"
+            "000000000053051027000000000000030000000000001440030000000401"
+            "000000000000005305112700000000000003000000000000244003000000"
+            "040100000000000000530512270000000000000300000000000022400300"
+            "000004010000000000000053051327000000000000030000000000002040"
+            "010000000000000003000000ffffffffffffffff00000000000000000100"
+            "000000000000040000000000000002000000000400000000000000000000"
+            "000100000000000000030000000000000000000000000000000300000001"
+            "000000000000000100000000000000020000000000000003000000000000"
+            "00ffffffffffffffffffffffffffffffff04000000000000000100000000"
+            "00000001000000000000000000000000000000");
 }
 
 TEST(MatcherCheckpoint, RejectsInconsistentAttemptState) {
@@ -548,10 +548,11 @@ TEST(MatcherCheckpoint, RejectsInconsistentAttemptState) {
   m->Checkpoint(&w);
   const std::string clean = w.payload();
 
-  // Payload offsets of the golden layout (m = 3): base 0, pushed 4,
-  // start 1, i 4, j 2, cnt {0, 1, 3, 0}, spans {1..1, 2..3, none}.
-  constexpr size_t kBase = 12, kPushed = 20, kStart = 28, kI = 36, kJ = 44,
-                   kCnt = 53, kSpans = 89;
+  // Payload offsets of the golden layout (m = 3): pushed 4, first
+  // buffered position (base) 0, four rows, then the one cursor: start 1,
+  // i 4, j 2, cnt {0, 1, 3, 0}, spans {1..1, 2..3, none}.
+  constexpr size_t kBase = 8, kPushed = 0, kStart = 180, kI = 188, kJ = 196,
+                   kCnt = 205, kSpans = 241;
   struct Patch {
     const char* what;
     size_t at;
@@ -596,6 +597,34 @@ TEST(MatcherCheckpoint, RejectsInconsistentAttemptState) {
     ASSERT_NE(bad, clean) << patch.what;
     EXPECT_EQ(restore(bad).code(), StatusCode::kIoError) << patch.what;
   }
+}
+
+TEST(ExecutorCheckpoint, RestoreRejectsRetaggedRowValue) {
+  // A checksum-valid payload whose buffered row carries a value of the
+  // wrong type (a DATE where the DOUBLE price belongs) is corruption:
+  // restore must say kIoError, not surface the table's kTypeError.
+  std::vector<Row> rows;
+  Date d(10000);
+  for (double p : {10.0, 9.0, 8.0, 7.25}) {
+    rows.push_back(QuoteRow("A", d, p));
+    d = d.AddDays(1);
+  }
+  std::string bytes;
+  KillAndRestore(rows, 4, 1, 1, &bytes);
+  auto payload = OpenCheckpoint(bytes);
+  ASSERT_TRUE(payload.ok()) << payload.status();
+  std::string p(*payload);
+  // The open star group keeps the last row buffered; find its price.
+  CheckpointWriter probe;
+  probe.WriteValue(Value::Double(7.25));
+  const size_t at = p.find(probe.payload());
+  ASSERT_NE(at, std::string::npos) << "price 7.25 is not in the payload";
+  p[at] = static_cast<char>(TypeKind::kDate);
+  auto exec =
+      StreamingQueryExecutor::Create(kPortfolioQuery, QuoteSchema(), nullptr);
+  ASSERT_TRUE(exec.ok()) << exec.status();
+  const Status st = (*exec)->Restore(WrapPayload(p));
+  EXPECT_EQ(st.code(), StatusCode::kIoError) << st;
 }
 
 TEST(ExecutorCheckpoint, CheckpointFlushesBufferedShardedOutput) {

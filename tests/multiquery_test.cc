@@ -14,13 +14,13 @@
 #include <vector>
 
 #include "engine/executor.h"
+#include "engine/predicate_catalog.h"
+#include "engine/shared_cache.h"
 #include "engine/stream_executor.h"
 #include "gtest/gtest.h"
 #include "multiquery/multi_executor.h"
 #include "multiquery/multi_stream.h"
-#include "multiquery/predicate_catalog.h"
 #include "multiquery/queryset_lint.h"
-#include "multiquery/shared_cache.h"
 #include "workload/generators.h"
 
 namespace sqlts {
@@ -449,6 +449,262 @@ TEST(MultiQueryStream, CheckpointRestoreReinstatesTheRegisteredSet) {
                                return [](const Row&) {};
                              })
                    .ok());
+}
+
+Table LongMultiInstrumentTable();
+
+TEST(MultiQueryStream, QueryOfUnknownIdIsNull) {
+  auto multi = MultiStreamExecutor::Create(QuoteSchema());
+  ASSERT_TRUE(multi.ok());
+  EXPECT_EQ((*multi)->query(0), nullptr);
+  auto id = (*multi)->AddQuery(OverlappingQueries()[0], [](const Row&) {});
+  ASSERT_TRUE(id.ok()) << id.status();
+  EXPECT_NE((*multi)->query(*id), nullptr);
+  EXPECT_EQ((*multi)->query(-1), nullptr);
+  EXPECT_EQ((*multi)->query(*id + 1), nullptr);
+  EXPECT_EQ((*multi)->query(1 << 20), nullptr);
+  ASSERT_TRUE((*multi)->RemoveQuery(*id).ok());
+  EXPECT_EQ((*multi)->query(*id), nullptr);
+}
+
+/// Checkpoint size of `queries` registered on one executor after
+/// `data` was pushed.
+size_t CheckpointBytes(const Table& data,
+                       const std::vector<std::string>& queries) {
+  auto multi = MultiStreamExecutor::Create(data.schema());
+  SQLTS_CHECK(multi.ok());
+  for (const std::string& q : queries) {
+    SQLTS_CHECK((*multi)->AddQuery(q, [](const Row&) {}).ok()) << q;
+  }
+  for (int64_t r = 0; r < data.num_rows(); ++r) {
+    SQLTS_CHECK_OK((*multi)->Push(data.GetRow(r)));
+  }
+  std::string bytes;
+  SQLTS_CHECK_OK((*multi)->Checkpoint(&bytes));
+  return bytes.size();
+}
+
+TEST(MultiQueryStream, ScanGroupBuffersEachTupleOnce) {
+  // Three queries of one scan group whose attempts all stay open (every
+  // tuple feeds a star group): the tuples are written once, not once
+  // per query.
+  Table data = LongMultiInstrumentTable();
+  const std::vector<std::string> three = {
+      "SELECT X.name FROM quote CLUSTER BY name SEQUENCE BY date "
+      "AS (X, *Y, Z) WHERE Y.price > 0 AND Z.price < 0",
+      "SELECT COUNT(Y) FROM quote CLUSTER BY name SEQUENCE BY date "
+      "AS (X, *Y, Z) WHERE Y.price > 1 AND Z.price < 0",
+      "SELECT FIRST(Y).date FROM quote CLUSTER BY name SEQUENCE BY date "
+      "AS (*Y, Z) WHERE Y.price > 2 AND Z.price < 0"};
+  const size_t one = CheckpointBytes(data, {three[0]});
+  const size_t all = CheckpointBytes(data, three);
+  EXPECT_GT(one, static_cast<size_t>(data.num_rows()) * 20)
+      << "the fixture must buffer the whole stream";
+  EXPECT_LT(all * 2, one * 3) << "one=" << one << " all=" << all;
+}
+
+TEST(MultiQueryStream, JoinerReadingPreviousMatchesSuffixRun) {
+  // The joiner's first element reads `previous`: at its floor that
+  // tuple is out of range even though an earlier member keeps it
+  // buffered, exactly as for a standalone executor fed the suffix.
+  Table data = MultiInstrumentTable();
+  const std::string q =
+      "SELECT FIRST(Y).date, COUNT(Y), Z.price FROM quote CLUSTER BY name "
+      "SEQUENCE BY date AS (*Y, Z) WHERE Y.price < Y.previous.price "
+      "AND Z.price > Y.price";
+  for (int64_t split = 1; split < data.num_rows(); split += 4) {
+    std::vector<std::string> suffix_only;
+    {
+      auto solo = StreamingQueryExecutor::Create(
+          q, data.schema(),
+          [&](const Row& row) { suffix_only.push_back(RowString(row)); });
+      ASSERT_TRUE(solo.ok()) << solo.status();
+      for (int64_t r = split; r < data.num_rows(); ++r) {
+        ASSERT_TRUE((*solo)->Push(data.GetRow(r)).ok());
+      }
+      ASSERT_TRUE((*solo)->Finish().ok());
+    }
+    auto multi = MultiStreamExecutor::Create(data.schema());
+    ASSERT_TRUE(multi.ok());
+    ASSERT_TRUE((*multi)->AddQuery(q, [](const Row&) {}).ok());
+    for (int64_t r = 0; r < split; ++r) {
+      ASSERT_TRUE((*multi)->Push(data.GetRow(r)).ok());
+    }
+    std::vector<std::string> late;
+    ASSERT_TRUE((*multi)
+                    ->AddQuery(q, [&](const Row& row) {
+                      late.push_back(RowString(row));
+                    })
+                    .ok());
+    for (int64_t r = split; r < data.num_rows(); ++r) {
+      ASSERT_TRUE((*multi)->Push(data.GetRow(r)).ok());
+    }
+    ASSERT_TRUE((*multi)->Finish().ok());
+    EXPECT_EQ(late, suffix_only) << "split=" << split;
+  }
+}
+
+TEST(MultiQueryStream, BudgetFailureStopsOnlyItsMember) {
+  // Two members of one scan group; the first never completes and trips
+  // its own 64-tuple budget.  It alone is reported, and the other
+  // member's rows equal its solo run at 1 and 4 threads.
+  Table data = LongMultiInstrumentTable();
+  const std::string never =
+      "SELECT X.price, COUNT(Y) FROM quote CLUSTER BY name "
+      "SEQUENCE BY date AS (X, *Y, Z) WHERE Y.price >= 0 AND Z.price < 0";
+  const std::string other = OverlappingQueries()[1];
+  for (int threads : {1, 4}) {
+    ExecOptions options;
+    options.num_threads = threads;
+    std::vector<std::string> solo_rows;
+    {
+      auto solo = StreamingQueryExecutor::Create(
+          other, data.schema(),
+          [&](const Row& row) { solo_rows.push_back(RowString(row)); },
+          options);
+      ASSERT_TRUE(solo.ok()) << solo.status();
+      for (int64_t r = 0; r < data.num_rows(); ++r) {
+        ASSERT_TRUE((*solo)->Push(data.GetRow(r)).ok());
+      }
+      ASSERT_TRUE((*solo)->Finish().ok());
+    }
+    auto multi = MultiStreamExecutor::Create(data.schema(), options);
+    ASSERT_TRUE(multi.ok());
+    ExecGovernance budget;
+    budget.max_buffered_tuples = 64;
+    auto bad = (*multi)->AddQuery(never, [](const Row&) {}, &budget);
+    ASSERT_TRUE(bad.ok()) << bad.status();
+    std::vector<std::string> rows;
+    auto good = (*multi)->AddQuery(
+        other, [&](const Row& row) { rows.push_back(RowString(row)); });
+    ASSERT_TRUE(good.ok()) << good.status();
+    int64_t reported = 0;
+    for (int64_t r = 0; r < data.num_rows(); ++r) {
+      std::vector<MultiStreamExecutor::QueryError> errors;
+      ASSERT_TRUE((*multi)->Push(data.GetRow(r), &errors).ok());
+      for (const auto& e : errors) {
+        EXPECT_EQ(e.id, *bad) << "threads=" << threads;
+        EXPECT_EQ(e.status.code(), StatusCode::kResourceExhausted);
+        ++reported;
+      }
+    }
+    if (threads == 1) {
+      EXPECT_GT(reported, 0) << "the budget never tripped";
+    }
+    EXPECT_EQ((*multi)->Finish().code(), StatusCode::kResourceExhausted)
+        << "threads=" << threads;
+    EXPECT_EQ(rows, solo_rows) << "threads=" << threads;
+    EXPECT_TRUE((*multi)->query(*good)->final_status().ok());
+  }
+}
+
+TEST(MultiQueryStream, FailedMemberReleasesTheSharedBuffer) {
+  // Once the never-completing member trips its budget it must stop
+  // holding rows: otherwise the buffer it shares with the member that
+  // goes on grows by one row per tuple for the rest of the stream, and
+  // no budget of the survivor ever trips.
+  std::vector<double> prices;
+  for (int i = 0; i < 20000; ++i) {
+    prices.push_back(100.0 + 10.0 * std::sin(i * 0.7));
+  }
+  Table data = PricesToQuoteTable("IBM", Date(10000), prices);
+  const std::string never =
+      "SELECT X.price, COUNT(Y) FROM quote CLUSTER BY name "
+      "SEQUENCE BY date AS (X, *Y, Z) WHERE Y.price >= 0 AND Z.price < 0";
+  for (int threads : {1, 4}) {
+    ExecOptions options;
+    options.num_threads = threads;
+    auto multi = MultiStreamExecutor::Create(data.schema(), options);
+    ASSERT_TRUE(multi.ok());
+    ExecGovernance budget;
+    budget.max_buffered_tuples = 64;
+    auto bad = (*multi)->AddQuery(never, [](const Row&) {}, &budget);
+    ASSERT_TRUE(bad.ok()) << bad.status();
+    int64_t matched = 0;
+    auto good = (*multi)->AddQuery(OverlappingQueries()[0],
+                                   [&](const Row&) { ++matched; });
+    ASSERT_TRUE(good.ok()) << good.status();
+    for (int64_t r = 0; r < data.num_rows(); ++r) {
+      std::vector<MultiStreamExecutor::QueryError> errors;
+      ASSERT_TRUE((*multi)->Push(data.GetRow(r), &errors).ok());
+    }
+    EXPECT_EQ((*multi)->Finish().code(), StatusCode::kResourceExhausted);
+    EXPECT_GT(matched, 1000) << "threads=" << threads;
+    // The buffer is compacted once 4096 dead rows pile up.
+    int64_t peak = 0;
+    for (const ShardStats& s : (*multi)->query(*good)->shard_stats()) {
+      peak += s.buffered_tuples_high;
+    }
+    EXPECT_LT(peak, 2 * 4096) << "threads=" << threads;
+  }
+}
+
+TEST(MultiQueryStream, MemberRefusedAtTheRouterStopsThere) {
+  // A `stream.push` fault refuses one member a tuple the other member
+  // takes.  The refused member's cursors must not see that tuple, so it
+  // stops there, with the rows a standalone executor emits on the
+  // tuples before it; the other member's rows equal its solo run.
+  Table data = LongMultiInstrumentTable();
+  const std::string refused_query = OverlappingQueries()[0];
+  const std::string other = OverlappingQueries()[1];
+  const int64_t cut = data.num_rows() / 2;
+  std::vector<std::string> prefix_rows, other_rows;
+  {
+    auto solo = StreamingQueryExecutor::Create(
+        refused_query, data.schema(),
+        [&](const Row& row) { prefix_rows.push_back(RowString(row)); });
+    ASSERT_TRUE(solo.ok()) << solo.status();
+    for (int64_t r = 0; r < cut; ++r) {
+      ASSERT_TRUE((*solo)->Push(data.GetRow(r)).ok());
+    }
+    auto solo_other = StreamingQueryExecutor::Create(
+        other, data.schema(),
+        [&](const Row& row) { other_rows.push_back(RowString(row)); });
+    ASSERT_TRUE(solo_other.ok()) << solo_other.status();
+    for (int64_t r = 0; r < data.num_rows(); ++r) {
+      ASSERT_TRUE((*solo_other)->Push(data.GetRow(r)).ok());
+    }
+    ASSERT_TRUE((*solo_other)->Finish().ok());
+  }
+  for (int threads : {1, 4}) {
+    ExecOptions options;
+    options.num_threads = threads;
+    auto multi = MultiStreamExecutor::Create(data.schema(), options);
+    ASSERT_TRUE(multi.ok());
+    ExecGovernance faulty;
+    int64_t visits = 0;  // "stream.push" is visited on the pushing thread
+    faulty.fault_hook = [&visits, cut](std::string_view site) {
+      if (site == "stream.push" && visits++ == cut) {
+        return Status::IoError("refused at stream.push");
+      }
+      return Status::OK();
+    };
+    std::vector<std::string> refused_rows, rows;
+    auto refused = (*multi)->AddQuery(
+        refused_query,
+        [&](const Row& row) { refused_rows.push_back(RowString(row)); },
+        &faulty);
+    ASSERT_TRUE(refused.ok()) << refused.status();
+    auto good = (*multi)->AddQuery(
+        other, [&](const Row& row) { rows.push_back(RowString(row)); });
+    ASSERT_TRUE(good.ok()) << good.status();
+    int64_t reported = 0;
+    for (int64_t r = 0; r < data.num_rows(); ++r) {
+      std::vector<MultiStreamExecutor::QueryError> errors;
+      ASSERT_TRUE((*multi)->Push(data.GetRow(r), &errors).ok());
+      for (const auto& e : errors) {
+        EXPECT_EQ(e.id, *refused) << "threads=" << threads;
+        EXPECT_EQ(e.status.code(), StatusCode::kIoError);
+        ++reported;
+      }
+    }
+    EXPECT_EQ(reported, data.num_rows() - cut) << "threads=" << threads;
+    EXPECT_EQ((*multi)->Finish().code(), StatusCode::kIoError);
+    EXPECT_EQ(refused_rows, prefix_rows) << "threads=" << threads;
+    EXPECT_EQ(rows, other_rows) << "threads=" << threads;
+    EXPECT_EQ((*multi)->query(*refused)->final_status().code(),
+              StatusCode::kIoError);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@
 // fails here even before the full-tree lint build runs.
 #include "common/thread_annotations.h"
 #include "engine/shard_pool.h"
+#include "engine/shared_cache.h"
 #include "engine/stream_executor.h"
 #include "multiquery/multi_stream.h"
-#include "multiquery/shared_cache.h"
 #include "replication/cluster.h"
 #include "replication/log.h"
 #include "server/metrics.h"
