@@ -16,7 +16,7 @@ namespace sqlts {
 ///
 ///   offset  size  field
 ///        0     8  magic "SQTSCKPT"
-///        8     4  format version (little-endian u32, currently 1)
+///        8     4  format version (little-endian u32, kCheckpointVersion)
 ///       12     8  payload size in bytes (little-endian u64)
 ///       20     8  FNV-1a 64 checksum of the payload (little-endian)
 ///       28     …  payload
@@ -29,8 +29,11 @@ namespace sqlts {
 inline constexpr std::string_view kCheckpointMagic = "SQTSCKPT";
 /// Version 2: a streaming cluster is written once per scan group —
 /// rows from the lowest cursor reach, then each cursor's slot, floor
-/// and attempt state.  Other versions are refused.
-inline constexpr uint32_t kCheckpointVersion = 2;
+/// and attempt state.  Version 3: route keys are the typed
+/// EncodeClusterKey bytes (storage/cluster_key.h), not version 2's
+/// rendered text, so a version 2 key would name a route no new tuple
+/// reaches.  Other versions are refused.
+inline constexpr uint32_t kCheckpointVersion = 3;
 
 /// FNV-1a 64-bit hash (the header checksum).
 uint64_t Fnv1a64(std::string_view bytes);

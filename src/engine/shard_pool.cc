@@ -3,35 +3,13 @@
 #include <exception>
 
 #include "common/logging.h"
-#include "types/value.h"
 
 namespace sqlts {
-namespace {
-
-/// One type-tagged, length-prefixed key part.  Strings use their raw
-/// bytes (ToString's display quoting is not escape-safe); other kinds
-/// use their canonical rendering.
-void AppendKeyPart(const Value& v, std::string* out) {
-  std::string part =
-      v.kind() == TypeKind::kString ? v.string_value() : v.ToString();
-  *out += static_cast<char>('0' + static_cast<int>(v.kind()));
-  *out += std::to_string(part.size());
-  *out += ':';
-  *out += part;
-}
-
-}  // namespace
 
 SearchStats TotalSearchStats(const std::vector<ShardStats>& shards) {
   SearchStats total;
   for (const ShardStats& s : shards) total += s.search;
   return total;
-}
-
-std::string EncodeClusterKey(const Row& row, const std::vector<int>& cols) {
-  std::string key;
-  for (int c : cols) AppendKeyPart(row[c], &key);
-  return key;
 }
 
 ShardPool::ShardPool(int num_shards, int64_t queue_capacity,

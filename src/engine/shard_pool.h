@@ -14,6 +14,7 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "engine/match.h"
+#include "storage/cluster_key.h"  // EncodeClusterKey: what ShardFor hashes
 #include "storage/table.h"
 
 namespace sqlts {
@@ -45,12 +46,6 @@ struct ShardStats {
 
 /// Sum of the per-shard matcher counters.
 SearchStats TotalSearchStats(const std::vector<ShardStats>& shards);
-
-/// Injective encoding of the cluster-key values `row[cols...]` as a map
-/// key.  Each part is type-tagged and length-prefixed, so no value
-/// content (separators, quotes, embedded NULs) can make two distinct
-/// key tuples encode equal.
-std::string EncodeClusterKey(const Row& row, const std::vector<int>& cols);
 
 /// Fixed-size pool of shard workers for per-cluster parallelism in
 /// streaming execution (batch scans use engine/scan_driver.h).

@@ -48,12 +48,12 @@ bool SharedClusterCache::Test(int pred_id, const EvalContext& ctx,
   }
   std::vector<Slot>& ring = Ring(pred_id);
   Slot& slot = ring[abs_pos % window_];
-  if (slot.pos == abs_pos) {
+  if (slot.holds(abs_pos)) {
     counters->cache_hits.fetch_add(1, std::memory_order_relaxed);
-    if (slot.inferred) {
+    if (slot.inferred()) {
       counters->inferred_hits.fetch_add(1, std::memory_order_relaxed);
     }
-    return slot.val;
+    return slot.val();
   }
   counters->shared_evals.fetch_add(1, std::memory_order_relaxed);
   const SharedPredicate& pred = catalog_->predicate(pred_id);
@@ -62,11 +62,7 @@ bool SharedClusterCache::Test(int pred_id, const EvalContext& ctx,
   auto seed_implied = [&](int64_t at) {
     for (int q : pred.implies) {
       Slot& qslot = Ring(q)[at % window_];
-      if (qslot.pos != at) {
-        qslot.pos = at;
-        qslot.val = true;
-        qslot.inferred = true;
-      }
+      if (!qslot.holds(at)) qslot.Set(at, true, true);
     }
   };
 
@@ -87,19 +83,15 @@ bool SharedClusterCache::Test(int pred_id, const EvalContext& ctx,
     pred.kernel->Eval(*ctx.seq, ctx.pos, n, &scratch_, &mask);
     for (int64_t i = 0; i < n; ++i) {
       Slot& s = ring[(abs_pos + i) % window_];
-      if (i != 0 && s.pos == abs_pos + i) continue;  // keep cached slots
-      s.pos = abs_pos + i;
-      s.val = mask.True(i);
-      s.inferred = false;
-      if (s.val) seed_implied(abs_pos + i);
+      if (i != 0 && s.holds(abs_pos + i)) continue;  // keep cached slots
+      s.Set(abs_pos + i, mask.True(i), false);
+      if (s.val()) seed_implied(abs_pos + i);
     }
-    return ring[abs_pos % window_].val;
+    return ring[abs_pos % window_].val();
   }
 
   bool val = EvalPredicate(*pred.expr, ctx);
-  slot.pos = abs_pos;
-  slot.val = val;
-  slot.inferred = false;
+  slot.Set(abs_pos, val, false);
   if (val) seed_implied(abs_pos);
   return val;
 }

@@ -62,10 +62,23 @@ class SharedClusterCache {
             MultiQueryCounters* counters);
 
  private:
-  struct Slot {
-    int64_t pos = -1;  // absolute position cached, -1 = empty
-    bool val = false;
-    bool inferred = false;  // seeded by a subsumption edge
+  /// One cached verdict in 8 bytes: (pos + 1) << 2 | inferred << 1 |
+  /// val, so the all-zero slot is empty and distinct from position 0.
+  class Slot {
+   public:
+    bool holds(int64_t pos) const {
+      return (word_ >> 2) == static_cast<uint64_t>(pos) + 1;
+    }
+    bool val() const { return (word_ & 1) != 0; }
+    bool inferred() const { return (word_ & 2) != 0; }  // subsumption seed
+    void Set(int64_t pos, bool val, bool inferred) {
+      word_ = (static_cast<uint64_t>(pos) + 1) << 2 |
+              static_cast<uint64_t>(inferred) << 1 |
+              static_cast<uint64_t>(val);
+    }
+
+   private:
+    uint64_t word_ = 0;
   };
 
   /// Predicate `pred_id`'s ring, allocated on first use.

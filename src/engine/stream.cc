@@ -8,23 +8,18 @@
 
 namespace sqlts {
 
-Status CheckStreamRow(const Schema& schema, const Row& row) {
-  if (static_cast<int>(row.size()) != schema.num_columns()) {
+Status CheckStreamRow(const Schema& schema, Row* row) {
+  if (static_cast<int>(row->size()) != schema.num_columns()) {
     return Status::InvalidArgument(
-        "row arity " + std::to_string(row.size()) + " != schema arity " +
+        "row arity " + std::to_string(row->size()) + " != schema arity " +
         std::to_string(schema.num_columns()));
   }
   for (int c = 0; c < schema.num_columns(); ++c) {
-    const Value& v = row[c];
-    if (v.is_null() || v.kind() == schema.column(c).type) continue;
-    if (schema.column(c).type == TypeKind::kDouble &&
-        v.kind() == TypeKind::kInt64) {
-      continue;  // SQL numeric coercion, applied at append time
-    }
+    if (CoerceToColumn(schema.column(c).type, &(*row)[c])) continue;
     return Status::TypeError(
         "stream tuple column '" + schema.column(c).name + "' expects " +
         std::string(TypeKindToString(schema.column(c).type)) + ", got " +
-        std::string(TypeKindToString(v.kind())));
+        std::string(TypeKindToString((*row)[c].kind())));
   }
   return Status::OK();
 }
@@ -285,7 +280,7 @@ Status OpsStreamMatcher::RestoreState(
     SQLTS_ASSIGN_OR_RETURN(Row row, reader->ReadRow());
     // A checksum-valid payload may still carry a row the schema refuses;
     // that is corruption, not a caller's type error.
-    Status fits = CheckStreamRow(schema_, row);
+    Status fits = CheckStreamRow(schema_, &row);
     if (!fits.ok()) {
       return Status::IoError("checkpoint row " + std::to_string(r) +
                              " does not fit the schema: " + fits.message());

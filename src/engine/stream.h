@@ -18,9 +18,11 @@
 namespace sqlts {
 
 /// Arity and type check of one stream tuple against `schema`
-/// (InvalidArgument / TypeError), mirroring Table::AppendRow, whose
-/// INT64-into-DOUBLE coercion it accepts.
-Status CheckStreamRow(const Schema& schema, const Row& row);
+/// (InvalidArgument / TypeError), applying Table::AppendRow's
+/// INT64-into-DOUBLE coercion in place: a tuple that passes holds the
+/// values a table built from it would, so it keys, filters and buffers
+/// like a batch row.
+Status CheckStreamRow(const Schema& schema, Row* row);
 
 /// Push-based incremental OPS matching over one cluster's tuple stream
 /// — the deployment mode the paper targets ("the runtime execution of

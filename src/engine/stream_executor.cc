@@ -6,6 +6,7 @@
 
 #include "analysis/linter.h"
 #include "expr/eval.h"
+#include "storage/cluster_key.h"
 
 namespace sqlts {
 namespace {
@@ -154,13 +155,13 @@ int StreamEngine::num_live_members() const {
 }
 
 StreamEngine::RouteInfo* StreamEngine::RouteFor(const Row& row) {
-  std::string key = EncodeClusterKey(row, cluster_cols_);
-  auto it = routes_.find(key);
+  EncodeClusterKey(row, cluster_cols_, &route_key_);
+  auto it = routes_.find(route_key_);
   if (it != routes_.end()) return &it->second;
   RouteInfo info;
   info.ordinal = static_cast<uint64_t>(routes_.size());
-  info.shard = pool_ != nullptr ? pool_->ShardFor(key) : 0;
-  return &routes_.emplace(std::move(key), std::move(info)).first->second;
+  info.shard = pool_ != nullptr ? pool_->ShardFor(route_key_) : 0;
+  return &routes_.emplace(route_key_, std::move(info)).first->second;
 }
 
 bool StreamEngine::Accepts(RouteInfo* info, int k, const Row& row) {
@@ -225,7 +226,7 @@ Status StreamEngine::Push(Row row, std::vector<MemberError>* errors) {
   // Arity, types and order are properties of the tuple, not of a
   // member: a malformed tuple is buffered for nobody, and each member
   // taking it counts or reports it under its own policy.
-  Status bad = CheckStreamRow(schema_, row);
+  Status bad = CheckStreamRow(schema_, &row);
   RouteInfo* info = bad.ok() ? RouteFor(row) : nullptr;
   if (info != nullptr) {
     bool accepted = false;

@@ -234,7 +234,8 @@ class StreamEngine {
   SharedPredicateCatalog catalog_;  // grows only while workers are idle
   MultiQueryCounters counters_;     // atomics: shard workers add to them
   std::vector<std::unique_ptr<StreamMember>> members_;
-  std::map<std::string, RouteInfo> routes_;  // keyed by encoded key
+  std::map<std::string, RouteInfo> routes_;  // keyed by EncodeClusterKey
+  std::string route_key_;  // RouteFor scratch: the pushed row's key
   std::vector<std::unique_ptr<ShardState>> shards_;
   std::vector<char> taking_;  // Push scratch: members taking the tuple
   uint64_t push_tag_ = 0;     // global push counter (merge tag source)

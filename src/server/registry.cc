@@ -363,9 +363,10 @@ void StreamHub::ReplayLoop(int64_t generation) {
           stats.Set("matches", Json::Int(q->stats().matches));
           stats.Set("evaluations", Json::Int(q->stats().evaluations));
           end.Set("stats", std::move(stats));
-          sub.sink->Send(end);
+          // Count the query done before its client can read that it is.
           metrics_->queries_completed.fetch_add(1, std::memory_order_relaxed);
           metrics_->queries_in_flight.fetch_sub(1, std::memory_order_relaxed);
+          sub.sink->Send(end);
           if (sub.done) sub.done();
         }
         subs_.clear();
@@ -404,9 +405,9 @@ void StreamHub::TeardownLocked() {
   // Leftover subscribers (shutdown path) still retire their request
   // ids so the in-flight gauge drains.
   for (Sub& sub : subs_) {
-    sub.sink->Send(CancelledMessage(sub.req_id));
     metrics_->queries_cancelled.fetch_add(1, std::memory_order_relaxed);
     metrics_->queries_in_flight.fetch_sub(1, std::memory_order_relaxed);
+    sub.sink->Send(CancelledMessage(sub.req_id));
     if (sub.done) sub.done();
   }
   subs_.clear();
@@ -417,14 +418,17 @@ void StreamHub::DropSubLocked(size_t i, const Status* st) {
   Sub sub = std::move(subs_[i]);
   subs_.erase(subs_.begin() + static_cast<ptrdiff_t>(i));
   if (exec_ != nullptr) (void)exec_->RemoveQuery(sub.query_id);
+  // As for STREAM_END: the counters move before the terminal is sent.
+  Json terminal;
   if (st == nullptr || st->code() == StatusCode::kCancelled) {
-    sub.sink->Send(CancelledMessage(sub.req_id));
+    terminal = CancelledMessage(sub.req_id);
     metrics_->queries_cancelled.fetch_add(1, std::memory_order_relaxed);
   } else {
-    sub.sink->Send(MakeErrorMessage(sub.req_id, *st));
+    terminal = MakeErrorMessage(sub.req_id, *st);
     metrics_->NoteError(std::string(StatusCodeToString(st->code())));
   }
   metrics_->queries_in_flight.fetch_sub(1, std::memory_order_relaxed);
+  sub.sink->Send(terminal);
   if (sub.done) sub.done();
 }
 

@@ -75,8 +75,10 @@ class ClusteredSequence {
  public:
   /// Partitions `table` by `cluster_by` columns (may be empty: a single
   /// cluster) and sorts each partition by `sequence_by` columns
-  /// ascending.  Errors if any named column is missing or a sort key has
-  /// incomparable values.
+  /// ascending, NULLs first.  Rows are grouped by hash on their
+  /// EncodeClusterKey bytes (storage/cluster_key.h), the key the
+  /// streaming router uses too; a partition already in order is not
+  /// sorted.  Errors if any named column is missing.
   static StatusOr<ClusteredSequence> Build(
       const Table* table, const std::vector<std::string>& cluster_by,
       const std::vector<std::string>& sequence_by);

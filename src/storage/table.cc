@@ -7,6 +7,14 @@
 
 namespace sqlts {
 
+bool CoerceToColumn(TypeKind want, Value* v) {
+  if (v->holds_null() || v->kind() == want) return true;
+  const int64_t* i = v->int64_if();
+  if (i == nullptr || want != TypeKind::kDouble) return false;
+  *v = Value::Double(static_cast<double>(*i));
+  return true;
+}
+
 Status Table::AppendRow(Row row) {
   if (static_cast<int>(row.size()) != schema_.num_columns()) {
     return Status::InvalidArgument(
@@ -14,13 +22,7 @@ Status Table::AppendRow(Row row) {
         std::to_string(schema_.num_columns()));
   }
   for (int c = 0; c < schema_.num_columns(); ++c) {
-    if (!row[c].is_null() && row[c].kind() != schema_.column(c).type) {
-      // Allow int literals to fill double columns (SQL numeric coercion).
-      if (schema_.column(c).type == TypeKind::kDouble &&
-          row[c].kind() == TypeKind::kInt64) {
-        row[c] = Value::Double(static_cast<double>(row[c].int64_value()));
-        continue;
-      }
+    if (!CoerceToColumn(schema_.column(c).type, &row[c])) {
       return Status::TypeError(
           "column '" + schema_.column(c).name + "' expects " +
           std::string(TypeKindToString(schema_.column(c).type)) + ", got " +
@@ -48,11 +50,7 @@ StatusOr<Table> Table::FromColumns(Schema schema,
     }
     const TypeKind want = table.schema_.column(c).type;
     for (Value& v : columns[c]) {
-      if (v.is_null() || v.kind() == want) continue;
-      if (want == TypeKind::kDouble && v.kind() == TypeKind::kInt64) {
-        v = Value::Double(static_cast<double>(v.int64_value()));
-        continue;
-      }
+      if (CoerceToColumn(want, &v)) continue;
       return Status::TypeError(
           "column '" + table.schema_.column(c).name + "' expects " +
           std::string(TypeKindToString(want)) + ", got " +

@@ -10,6 +10,11 @@
 
 namespace sqlts {
 
+/// SQL numeric coercion as a Table stores a cell: an INT64 bound for a
+/// DOUBLE column becomes that DOUBLE.  Returns false when a non-NULL
+/// `*v` does not fit a `want` column (`*v` is then unchanged).
+bool CoerceToColumn(TypeKind want, Value* v);
+
 /// An in-memory relation stored column-wise.  This is the substrate the
 /// SQL-TS engine queries; rows are addressed by a dense 0-based index.
 class Table {

@@ -81,6 +81,9 @@ class Value {
   const int64_t* int64_if() const { return std::get_if<int64_t>(&v_); }
   const double* double_if() const { return std::get_if<double>(&v_); }
   const Date* date_if() const { return std::get_if<Date>(&v_); }
+  const std::string* string_if() const {
+    return std::get_if<std::string>(&v_);
+  }
   bool holds_null() const { return std::holds_alternative<std::monostate>(v_); }
 
   /// Renders the value for display ("NULL", 42, 3.5, 'abc', 1999-01-25).

@@ -163,7 +163,7 @@ TEST(CheckpointFormat, GoldenContainerBytes) {
   w.WriteValue(Value::Int64(5));
   w.WriteRow({Value::String("q"), Value::FromDate(Date(10000))});
   EXPECT_EQ(ToHex(w.Finalize()),
-            "53515453434b5054020000004200000000000000af3031197f1299db070201"
+            "53515453434b5054030000004200000000000000af3031197f1299db070201"
             "0000feffffffffffffff01000000000000f83f030000000000000073657100"
             "020500000000000000020000000401000000000000007105102700000000"
             "0000");
@@ -522,7 +522,7 @@ TEST(MatcherCheckpoint, GoldenPayloadBytes) {
   CheckpointWriter w;
   m->Checkpoint(&w);
   EXPECT_EQ(ToHex(w.Finalize()),
-            "53515453434b50540200000041010000000000009a4eeee926724be00400"
+            "53515453434b50540300000041010000000000009a4eeee926724be00400"
             "000000000000000000000000000004000000000000000300000004010000"
             "000000000053051027000000000000030000000000001440030000000401"
             "000000000000005305112700000000000003000000000000244003000000"
@@ -624,6 +624,23 @@ TEST(ExecutorCheckpoint, RestoreRejectsRetaggedRowValue) {
       StreamingQueryExecutor::Create(kPortfolioQuery, QuoteSchema(), nullptr);
   ASSERT_TRUE(exec.ok()) << exec.status();
   const Status st = (*exec)->Restore(WrapPayload(p));
+  EXPECT_EQ(st.code(), StatusCode::kIoError) << st;
+}
+
+TEST(ExecutorCheckpoint, RestoreRefusesVersion2Payload) {
+  // Version 2 persisted route keys as rendered text; version 3 keys are
+  // EncodeClusterKey bytes.  Restoring a version 2 payload would put a
+  // restored cluster and its next tuples on two routes, so a payload
+  // stamped version 2 is refused as kIoError, checksum and all intact.
+  const std::vector<Row> rows = PortfolioStream(60);
+  std::string bytes;
+  KillAndRestore(rows, 30, 1, 1, &bytes);
+  ASSERT_EQ(static_cast<uint8_t>(bytes[8]), kCheckpointVersion);
+  bytes[8] = 2;
+  auto exec =
+      StreamingQueryExecutor::Create(kPortfolioQuery, QuoteSchema(), nullptr);
+  ASSERT_TRUE(exec.ok()) << exec.status();
+  const Status st = (*exec)->Restore(bytes);
   EXPECT_EQ(st.code(), StatusCode::kIoError) << st;
 }
 

@@ -720,6 +720,37 @@ TEST(ServerMetricsTest, SnapshotConsistentAndDrainsToZero) {
   EXPECT_EQ(server->num_epoch_caches(), 0);
 }
 
+TEST(ServerMetricsTest, StreamEndArrivesAfterItsCounters) {
+  // The hub counts a stream completed before it sends STREAM_END, so a
+  // client that reads the metrics as soon as STREAM_END arrives never
+  // sees its stream still in flight.
+  auto server = StartServer({});
+  SqltsClient c = MustConnect(*server);
+  ASSERT_TRUE(c.Hello("gamma").ok());
+  for (int i = 0; i < 8; ++i) {
+    const int64_t before =
+        server->MetricsSnapshot().Find("queries")->GetInt("completed", -1);
+    Json stream = Json::Obj();
+    stream.Set("type", Json::Str("STREAM"));
+    stream.Set("id", Json::Int(40 + i));
+    stream.Set("dataset", Json::Str("quotes"));
+    stream.Set("query", Json::Str(kDip));
+    ASSERT_TRUE(c.Send(stream).ok());
+    while (true) {
+      auto reply = c.Read();
+      ASSERT_TRUE(reply.ok()) << reply.status();
+      const std::string type = reply->GetString("type", "");
+      if (type == "STREAM_END") break;
+      ASSERT_TRUE(type == "STREAM_START" || type == "ROW") << reply->Dump();
+    }
+    const Json m = server->MetricsSnapshot();
+    EXPECT_EQ(m.Find("queries")->GetInt("in_flight", -1), 0) << "stream " << i;
+    EXPECT_EQ(m.Find("queries")->GetInt("completed", -1), before + 1)
+        << "stream " << i;
+  }
+  (void)c.Close();
+}
+
 /// Regression pin for the metrics locking contract (machine-checked by
 /// GUARDED_BY under -Wthread-safety, exercised here under TSan via the
 /// `server` CI job): the non-atomic workload/error aggregates are only

@@ -1,7 +1,15 @@
 // Table / CSV / ClusteredSequence tests.
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <map>
+#include <random>
+
 #include <gtest/gtest.h>
 
+#include "storage/cluster_key.h"
 #include "storage/csv.h"
 #include "storage/sequence.h"
 #include "storage/table.h"
@@ -226,6 +234,327 @@ TEST(ClusteredSequence, MultiColumnClusterKey) {
   auto cs = ClusteredSequence::Build(&t, {"a", "b"}, {"seq"});
   ASSERT_TRUE(cs.ok());
   EXPECT_EQ(cs->num_clusters(), 4);
+}
+
+// ---------------------------------------------------------------------------
+// The Build contract, against the ordered-map build it replaced.
+// ---------------------------------------------------------------------------
+
+/// One cluster as Build reports it: key values and row indices.
+struct BuiltCluster {
+  Row key;
+  std::vector<int64_t> rows;
+};
+
+/// Value::Compare with NULLs first, as the reference orders keys.
+int ReferenceCompare(const Value& x, const Value& y) {
+  if (x.is_null() || y.is_null()) {
+    return x.is_null() == y.is_null() ? 0 : (x.is_null() ? -1 : 1);
+  }
+  return *x.Compare(y);
+}
+
+struct ReferenceKeyLess {
+  bool operator()(const Row& a, const Row& b) const {
+    for (size_t i = 0; i < a.size(); ++i) {
+      const int c = ReferenceCompare(a[i], b[i]);
+      if (c != 0) return c < 0;
+    }
+    return false;
+  }
+};
+
+/// The reference: group through a std::map ordered by Value::Compare
+/// (NULLs first), number clusters by first appearance, stable_sort each
+/// group by the same order.
+std::vector<BuiltCluster> ReferenceBuild(const Table& table,
+                                         const std::vector<int>& cluster_cols,
+                                         const std::vector<int>& seq_cols) {
+  std::map<Row, int, ReferenceKeyLess> slots;
+  std::vector<BuiltCluster> out;
+  for (int64_t r = 0; r < table.num_rows(); ++r) {
+    Row key;
+    for (int c : cluster_cols) key.push_back(table.at(r, c));
+    auto it = slots.find(key);
+    if (it == slots.end()) {
+      it = slots.emplace(key, static_cast<int>(out.size())).first;
+      out.push_back({key, {}});
+    }
+    out[it->second].rows.push_back(r);
+  }
+  for (BuiltCluster& cl : out) {
+    std::stable_sort(cl.rows.begin(), cl.rows.end(),
+                     [&](int64_t a, int64_t b) {
+                       for (int c : seq_cols) {
+                         const int v =
+                             ReferenceCompare(table.at(a, c), table.at(b, c));
+                         if (v != 0) return v < 0;
+                       }
+                       return false;
+                     });
+  }
+  return out;
+}
+
+/// Same kind and, for doubles, the same bits (-0.0 is not 0.0 here).
+bool SameValue(const Value& a, const Value& b) {
+  if (a.kind() != b.kind()) return false;
+  if (a.kind() == TypeKind::kDouble) {
+    double x = a.double_value(), y = b.double_value();
+    return std::memcmp(&x, &y, sizeof x) == 0;
+  }
+  return a.StructurallyEquals(b);
+}
+
+/// Build's clusters in BuiltCluster form.
+std::vector<BuiltCluster> Built(const Table& table,
+                                const std::vector<std::string>& cluster_by,
+                                const std::vector<std::string>& sequence_by) {
+  auto cs = ClusteredSequence::Build(&table, cluster_by, sequence_by);
+  SQLTS_CHECK(cs.ok()) << cs.status();
+  std::vector<BuiltCluster> out;
+  for (int i = 0; i < cs->num_clusters(); ++i) {
+    BuiltCluster cl{cs->cluster_key(i), {}};
+    const SequenceView& v = cs->cluster(i);
+    for (int64_t p = 0; p < v.size(); ++p) cl.rows.push_back(v.row_index(p));
+    out.push_back(std::move(cl));
+  }
+  return out;
+}
+
+void ExpectSameClusters(const std::vector<BuiltCluster>& got,
+                        const std::vector<BuiltCluster>& want,
+                        const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].key.size(), want[i].key.size()) << where;
+    for (size_t k = 0; k < got[i].key.size(); ++k) {
+      EXPECT_TRUE(SameValue(got[i].key[k], want[i].key[k]))
+          << where << " cluster " << i << " key part " << k << ": "
+          << got[i].key[k] << " vs " << want[i].key[k];
+    }
+    EXPECT_EQ(got[i].rows, want[i].rows) << where << " cluster " << i;
+  }
+}
+
+/// Column pools with the values that separate encodings: signed zeros,
+/// NaNs of two payloads, 2^53 and its int64 neighbour, strings with
+/// embedded NULs, separators and quotes, and NULL in every column.
+Value PoolValue(TypeKind kind, std::mt19937_64* rng) {
+  if ((*rng)() % 8 == 0) return Value::Null();
+  const uint64_t pick = (*rng)();
+  switch (kind) {
+    case TypeKind::kString: {
+      static const std::string kStrings[] = {
+          "", "a", "ab", std::string("a\0b", 3), std::string("a\0", 2),
+          "a|b", "a'\x1f'b", "b", "2:ab", "0"};
+      return Value::String(kStrings[pick % std::size(kStrings)]);
+    }
+    case TypeKind::kInt64: {
+      static const int64_t kInts[] = {0, -1, 1, (int64_t{1} << 53),
+                                      (int64_t{1} << 53) + 1,
+                                      std::numeric_limits<int64_t>::min(),
+                                      std::numeric_limits<int64_t>::max()};
+      return Value::Int64(kInts[pick % std::size(kInts)]);
+    }
+    case TypeKind::kDouble: {
+      uint64_t other_nan_bits = 0x7ff8000000000123ULL;
+      double other_nan;
+      std::memcpy(&other_nan, &other_nan_bits, sizeof other_nan);
+      const double kDoubles[] = {0.0, -0.0, 1.0000001, 1.0000002,
+                                 std::nan(""), -std::nan(""), other_nan,
+                                 9007199254740992.0,
+                                 -std::numeric_limits<double>::infinity(),
+                                 std::numeric_limits<double>::infinity()};
+      return Value::Double(kDoubles[pick % std::size(kDoubles)]);
+    }
+    case TypeKind::kDate:
+      return Value::FromDate(Date(static_cast<int32_t>(pick % 5) - 2));
+    case TypeKind::kBool:
+      return Value::Bool(pick % 2 == 0);
+    default:
+      return Value::Null();
+  }
+}
+
+TEST(ClusteredSequence, MatchesOrderedMapBuildOnRandomTables) {
+  const std::vector<std::pair<std::string, TypeKind>> columns = {
+      {"s", TypeKind::kString}, {"i", TypeKind::kInt64},
+      {"d", TypeKind::kDouble}, {"t", TypeKind::kDate},
+      {"b", TypeKind::kBool},   {"seq", TypeKind::kInt64},
+      {"x", TypeKind::kDouble}};
+  Schema schema;
+  for (const auto& [name, kind] : columns) {
+    ASSERT_TRUE(schema.AddColumn(name, kind).ok());
+  }
+  const std::vector<std::vector<int>> cluster_sets = {
+      {}, {0}, {1}, {2}, {3}, {4}, {0, 1}, {2, 0, 4}, {0, 1, 2, 3, 4}};
+  const std::vector<std::vector<int>> seq_sets = {{}, {5}, {6}, {5, 6},
+                                                  {6, 5}, {2, 0}};
+  for (uint64_t seed = 1; seed <= 500; ++seed) {
+    std::mt19937_64 rng(seed);
+    const auto& cc = cluster_sets[rng() % cluster_sets.size()];
+    const auto& sc = seq_sets[rng() % seq_sets.size()];
+    // A few cluster-key tuples, each a run of rows whose seq rises,
+    // falls or ties; runs are then interleaved, shuffled or reversed.
+    // Each tuple after the first copies an earlier one and redraws one
+    // CLUSTER BY column, so tuples often differ in one part only, and
+    // there as often in a signed zero or a NaN payload as in value.
+    const int keys = 1 + static_cast<int>(rng() % 10);
+    std::vector<Row> protos;
+    for (int k = 0; k < keys; ++k) {
+      Row proto;
+      if (k == 0 || cc.empty()) {
+        for (const auto& [name, kind] : columns) {
+          proto.push_back(PoolValue(kind, &rng));
+        }
+      } else {
+        proto = protos[rng() % k];
+        const int c = cc[rng() % cc.size()];
+        proto[c] = PoolValue(columns[c].second, &rng);
+      }
+      protos.push_back(std::move(proto));
+    }
+    std::vector<std::vector<Row>> runs(keys);
+    for (int k = 0; k < keys; ++k) {
+      const int len = static_cast<int>(rng() % 12);
+      const int shape = static_cast<int>(rng() % 3);  // rise, fall, ties
+      for (int j = 0; j < len; ++j) {
+        Row r = protos[k];
+        const int64_t seq = shape == 0 ? j : shape == 1 ? len - j : j / 3;
+        r[5] = rng() % 10 == 0 ? Value::Null() : Value::Int64(seq);
+        r[6] = PoolValue(TypeKind::kDouble, &rng);
+        runs[k].push_back(std::move(r));
+      }
+    }
+    std::vector<Row> rows;
+    const int order = static_cast<int>(rng() % 4);
+    if (order == 0) {  // runs interleaved round-robin, each in its order
+      for (size_t j = 0; j < 12; ++j) {
+        for (const auto& run : runs) {
+          if (j < run.size()) rows.push_back(run[j]);
+        }
+      }
+    } else {  // runs one after another
+      for (const auto& run : runs) {
+        rows.insert(rows.end(), run.begin(), run.end());
+      }
+    }
+    if (order == 2) std::shuffle(rows.begin(), rows.end(), rng);
+    if (order == 3) std::reverse(rows.begin(), rows.end());
+    Table table(schema);
+    for (Row& r : rows) ASSERT_TRUE(table.AppendRow(std::move(r)).ok());
+
+    std::vector<std::string> cluster_by, sequence_by;
+    for (int c : cc) cluster_by.push_back(columns[c].first);
+    for (int c : sc) sequence_by.push_back(columns[c].first);
+    ExpectSameClusters(Built(table, cluster_by, sequence_by),
+                       ReferenceBuild(table, cc, sc),
+                       "seed " + std::to_string(seed));
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(ClusteredSequence, AlreadySortedGroupsKeepInputOrder) {
+  // Interleaved clusters, each already in SEQUENCE BY order with ties:
+  // the linear check passes and every group keeps its input order.
+  Schema s;
+  ASSERT_TRUE(s.AddColumn("k", TypeKind::kString).ok());
+  ASSERT_TRUE(s.AddColumn("seq", TypeKind::kDouble).ok());
+  Table t(s);
+  const std::vector<std::pair<const char*, Value>> rows = {
+      {"a", Value::Null()},       {"b", Value::Double(-1)},
+      {"a", Value::Double(-0.0)}, {"a", Value::Double(0.0)},
+      {"b", Value::Double(-1)},   {"a", Value::Double(2)},
+      {"a", Value::Double(std::nan(""))}, {"b", Value::Double(5)}};
+  for (const auto& [k, v] : rows) {
+    ASSERT_TRUE(t.AppendRow({Value::String(k), v}).ok());
+  }
+  auto built = Built(t, {"k"}, {"seq"});
+  ASSERT_EQ(built.size(), 2u);
+  EXPECT_EQ(built[0].rows, (std::vector<int64_t>{0, 2, 3, 5, 6}));
+  EXPECT_EQ(built[1].rows, (std::vector<int64_t>{1, 4, 7}));
+  ExpectSameClusters(built, ReferenceBuild(t, {0}, {1}), "sorted");
+}
+
+TEST(ClusteredSequence, UnsortedGroupSortsStablyByValueOrder) {
+  // A reversed run with ties: NULLs first, -0.0 and 0.0 tie (input
+  // order kept), NaN last; the second column breaks first-column ties.
+  Schema s;
+  ASSERT_TRUE(s.AddColumn("seq", TypeKind::kDouble).ok());
+  ASSERT_TRUE(s.AddColumn("day", TypeKind::kDate).ok());
+  Table t(s);
+  const double nan = std::nan("");
+  const std::vector<std::pair<Value, int>> rows = {
+      {Value::Double(3), 1},    {Value::Double(nan), 0},
+      {Value::Double(0.0), 4},  {Value::Null(), 2},
+      {Value::Double(-0.0), 4}, {Value::Double(3), 0},
+      {Value::Null(), 1},       {Value::Double(-0.0), 3}};
+  for (const auto& [v, day] : rows) {
+    ASSERT_TRUE(t.AppendRow({v, Value::FromDate(Date(day))}).ok());
+  }
+  auto built = Built(t, {}, {"seq", "day"});
+  ASSERT_EQ(built.size(), 1u);
+  EXPECT_EQ(built[0].rows, (std::vector<int64_t>{6, 3, 7, 2, 4, 5, 0, 1}));
+  ExpectSameClusters(built, ReferenceBuild(t, {}, {0, 1}), "unsorted");
+}
+
+TEST(ClusteredSequence, DoubleKeysGroupByValue) {
+  // -0.0 and 0.0 are one cluster, NaNs of any payload another; the key
+  // reported is the first row's.  Values that agree in six digits stay
+  // apart.
+  Schema s;
+  ASSERT_TRUE(s.AddColumn("k", TypeKind::kDouble).ok());
+  Table t(s);
+  uint64_t bits = 0x7ff8000000000123ULL;
+  double other_nan;
+  std::memcpy(&other_nan, &bits, sizeof other_nan);
+  for (double k : {-0.0, std::nan(""), 0.0, other_nan, 1.0000001, 1.0000002}) {
+    ASSERT_TRUE(t.AppendRow({Value::Double(k)}).ok());
+  }
+  auto built = Built(t, {"k"}, {});
+  ASSERT_EQ(built.size(), 4u);
+  EXPECT_TRUE(std::signbit(built[0].key[0].double_value()));
+  EXPECT_EQ(built[0].rows, (std::vector<int64_t>{0, 2}));
+  EXPECT_EQ(built[1].rows, (std::vector<int64_t>{1, 3}));
+  ExpectSameClusters(built, ReferenceBuild(t, {0}, {}), "double keys");
+}
+
+TEST(ClusterKey, EncodesEqualExactlyWhenValuesCompareEqual) {
+  std::mt19937_64 rng(11);
+  for (TypeKind kind : {TypeKind::kString, TypeKind::kInt64,
+                        TypeKind::kDouble, TypeKind::kDate,
+                        TypeKind::kBool}) {
+    std::vector<Value> pool;
+    for (int i = 0; i < 64; ++i) pool.push_back(PoolValue(kind, &rng));
+    for (const Value& a : pool) {
+      for (const Value& b : pool) {
+        const bool equal = a.is_null() || b.is_null()
+                               ? a.is_null() == b.is_null()
+                               : *a.Compare(b) == 0;
+        EXPECT_EQ(EncodeClusterKey({a}, {0}) == EncodeClusterKey({b}, {0}),
+                  equal)
+            << a << " vs " << b;
+      }
+    }
+  }
+  // Kinds never collide, even where Value::Compare calls them equal.
+  EXPECT_NE(EncodeClusterKey({Value::Int64(5)}, {0}),
+            EncodeClusterKey({Value::Double(5.0)}, {0}));
+}
+
+TEST(ClusterKey, RowAndTableFormsAgree) {
+  Schema s;
+  ASSERT_TRUE(s.AddColumn("a", TypeKind::kString).ok());
+  ASSERT_TRUE(s.AddColumn("b", TypeKind::kDouble).ok());
+  Table t(s);
+  Row row = {Value::String(std::string("x\0y", 3)), Value::Int64(7)};
+  ASSERT_TRUE(t.AppendRow(row).ok());
+  ASSERT_TRUE(CoerceToColumn(TypeKind::kDouble, &row[1]));
+  EXPECT_EQ(row[1].kind(), TypeKind::kDouble);
+  std::string from_table = "stale";
+  EncodeClusterKey(t, 0, {1, 0}, &from_table);
+  EXPECT_EQ(from_table, EncodeClusterKey(row, {1, 0}));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // agreement with the batch executor.
 
 #include <random>
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -123,6 +124,65 @@ TEST(StreamExecutor, AdversarialClusterKeysStayDistinct) {
   EXPECT_EQ((*exec)->num_clusters(), 2);
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0][0].string_value(), a1);
+}
+
+TEST(StreamExecutor, ClusterKeysGroupLikeBatch) {
+  // Stream and batch partition by one key encoding.  Three DOUBLE keys
+  // that a rendered-text encoding groups differently from
+  // Value::Compare: keys equal in six significant digits but not in
+  // value, -0.0 against 0.0, and an INT64 pushed into the DOUBLE column
+  // against the DOUBLE the table stores for it.
+  Schema s;
+  ASSERT_TRUE(s.AddColumn("k", TypeKind::kDouble).ok());
+  ASSERT_TRUE(s.AddColumn("seq", TypeKind::kInt64).ok());
+  ASSERT_TRUE(s.AddColumn("v", TypeKind::kDouble).ok());
+  const std::string query =
+      "SELECT X.k, X.seq, Y.seq FROM t CLUSTER BY k SEQUENCE BY seq "
+      "AS (X, Y) WHERE Y.v > X.v";
+  auto row = [](Value k, int64_t seq, double v) -> Row {
+    return {std::move(k), Value::Int64(seq), Value::Double(v)};
+  };
+  const std::vector<Row> rows = {
+      // Apart, 1.0000001 rises once and 1.0000002 falls; merged, the
+      // run 1, 9, 2, 5 rises twice.
+      row(Value::Double(1.0000001), 1, 1),
+      row(Value::Double(1.0000002), 2, 9),
+      row(Value::Double(1.0000001), 3, 2),
+      row(Value::Double(1.0000002), 4, 5),
+      // One cluster: it rises once.  Apart: no pair at all.
+      row(Value::Double(-0.0), 5, 1),
+      row(Value::Double(0.0), 6, 2),
+      row(Value::Double(5.0), 7, 1),
+      row(Value::Int64(5), 8, 2),
+  };
+  Table table(s);
+  for (const Row& r : rows) ASSERT_TRUE(table.AppendRow(r).ok());
+  auto batch = QueryExecutor::Execute(table, query);
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  auto render = [](const Row& r) {
+    std::string key;
+    for (const Value& v : r) key += v.ToString() + "|";
+    return key;
+  };
+  std::multiset<std::string> batched;
+  for (int64_t r = 0; r < batch->output.num_rows(); ++r) {
+    batched.insert(render(batch->output.GetRow(r)));
+  }
+  for (int threads : {1, 3}) {
+    ExecOptions options;
+    options.num_threads = threads;
+    std::multiset<std::string> streamed;
+    auto exec = StreamingQueryExecutor::Create(
+        query, s, [&](const Row& r) { streamed.insert(render(r)); }, options);
+    ASSERT_TRUE(exec.ok()) << exec.status();
+    for (const Row& r : rows) ASSERT_TRUE((*exec)->Push(r).ok());
+    ASSERT_TRUE((*exec)->Finish().ok());
+    EXPECT_EQ(streamed, batched) << "threads " << threads;
+    EXPECT_EQ((*exec)->num_clusters(), batch->num_clusters)
+        << "threads " << threads;
+  }
+  EXPECT_EQ(batch->num_clusters, 4);
+  EXPECT_EQ(batched.size(), 3u);
 }
 
 TEST(StreamExecutor, RejectsRegressionOnSecondarySequenceColumn) {
