@@ -45,16 +45,6 @@ class Cursor {
     pos_ += 4;
     return v;
   }
-  StatusOr<uint64_t> U64() {
-    if (!Need(8)) return Truncated();
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-  }
   StatusOr<std::string_view> Bytes(size_t n) {
     if (!Need(n)) return Truncated();
     std::string_view v = data_.substr(pos_, n);
@@ -70,24 +60,11 @@ class Cursor {
   size_t pos_ = 0;
 };
 
-/// Numeric cell as int64 (int64 columns and dates; dates store their
-/// epoch-day number).
-int64_t CellI64(const Value& v, TypeKind type) {
+/// An int slot of an INT64 or DATE column as its Value.
+Value I64Cell(int64_t raw, TypeKind type) {
   return type == TypeKind::kDate
-             ? static_cast<int64_t>(v.date_value().days_since_epoch())
-             : v.int64_value();
-}
-
-Value I64Cell(int64_t raw, TypeKind type, Status* bad) {
-  if (type == TypeKind::kDate) {
-    if (raw < std::numeric_limits<int32_t>::min() ||
-        raw > std::numeric_limits<int32_t>::max()) {
-      *bad = Status::ParseError("columnar block: date out of range");
-      return Value::Null();
-    }
-    return Value::FromDate(Date(static_cast<int32_t>(raw)));
-  }
-  return Value::Int64(raw);
+             ? Value::FromDate(Date(static_cast<int32_t>(raw)))
+             : Value::Int64(raw);
 }
 
 int ForWidth(uint64_t range) {
@@ -146,90 +123,112 @@ std::string EncodeI64s(const std::vector<int64_t>& vals,
   return out;
 }
 
-StatusOr<std::vector<int64_t>> DecodeI64s(std::string_view bytes,
-                                          BlockEncoding encoding, size_t n) {
-  std::vector<int64_t> vals;
-  vals.reserve(n);
-  Cursor cur(bytes);
+/// Little-endian unsigned integer of `width` (0 to 8) bytes at `p`.
+inline uint64_t LoadLe(const char* p, int width) {
+  uint64_t v = 0;
+  for (int b = 0; b < width; ++b) {
+    v |= static_cast<uint64_t>(static_cast<uint8_t>(p[b])) << (8 * b);
+  }
+  return v;
+}
+
+/// `lo` plus each of `n` packed `W`-byte deltas at `p`.
+template <int W>
+void UnpackFor(const char* p, uint64_t lo, size_t n, int64_t* out) {
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<int64_t>(lo + LoadLe(p + i * W, W));
+  }
+}
+
+/// Decodes `n` int64 values into `out[0, n)`.
+Status DecodeI64s(std::string_view bytes, BlockEncoding encoding, size_t n,
+                  int64_t* out) {
   switch (encoding) {
-    case BlockEncoding::kRawI64: {
-      for (size_t i = 0; i < n; ++i) {
-        SQLTS_ASSIGN_OR_RETURN(uint64_t v, cur.U64());
-        vals.push_back(static_cast<int64_t>(v));
-      }
-      break;
-    }
+    case BlockEncoding::kRawI64:
+      if (bytes.size() != 8 * n) break;
+      UnpackFor<8>(bytes.data(), 0, n, out);
+      return Status::OK();
     case BlockEncoding::kForI64: {
-      SQLTS_ASSIGN_OR_RETURN(uint64_t lo, cur.U64());
-      SQLTS_ASSIGN_OR_RETURN(uint8_t width, cur.U8());
+      if (bytes.size() < 9) break;
+      const uint64_t lo = LoadLe(bytes.data(), 8);
+      const int width = static_cast<uint8_t>(bytes[8]);
       if (width != 0 && width != 1 && width != 2 && width != 4 &&
           width != 8) {
         return Status::ParseError("columnar block: bad FOR width");
       }
-      for (size_t i = 0; i < n; ++i) {
-        uint64_t d = 0;
-        if (width > 0) {
-          SQLTS_ASSIGN_OR_RETURN(std::string_view raw, cur.Bytes(width));
-          for (int b = 0; b < width; ++b) {
-            d |= static_cast<uint64_t>(static_cast<uint8_t>(raw[b]))
-                 << (8 * b);
-          }
-        }
-        vals.push_back(static_cast<int64_t>(lo + d));
+      if (bytes.size() != 9 + n * width) break;
+      const char* p = bytes.data() + 9;
+      switch (width) {
+        case 0: UnpackFor<0>(p, lo, n, out); break;
+        case 1: UnpackFor<1>(p, lo, n, out); break;
+        case 2: UnpackFor<2>(p, lo, n, out); break;
+        case 4: UnpackFor<4>(p, lo, n, out); break;
+        default: UnpackFor<8>(p, lo, n, out); break;
       }
-      break;
+      return Status::OK();
     }
     case BlockEncoding::kRleI64: {
-      SQLTS_ASSIGN_OR_RETURN(uint32_t runs, cur.U32());
-      for (uint32_t r = 0; r < runs; ++r) {
-        SQLTS_ASSIGN_OR_RETURN(uint64_t v, cur.U64());
-        SQLTS_ASSIGN_OR_RETURN(uint32_t len, cur.U32());
-        if (len == 0 || vals.size() + len > n) {
+      if (bytes.size() < 4) break;
+      const uint64_t runs = LoadLe(bytes.data(), 4);
+      if (bytes.size() != 4 + 12 * runs) break;
+      size_t done = 0;
+      for (uint64_t r = 0; r < runs; ++r) {
+        const char* run = bytes.data() + 4 + 12 * r;
+        const int64_t v = static_cast<int64_t>(LoadLe(run, 8));
+        const uint64_t len = LoadLe(run + 8, 4);
+        if (len == 0 || done + len > n) {
           return Status::ParseError("columnar block: bad RLE run");
         }
-        vals.insert(vals.end(), len, static_cast<int64_t>(v));
+        std::fill(out + done, out + done + len, v);
+        done += len;
       }
-      break;
+      if (done != n) break;
+      return Status::OK();
     }
     default:
       return Status::ParseError("columnar block: encoding/type mismatch");
   }
-  if (vals.size() != n || cur.remaining() != 0) {
-    return Status::ParseError("columnar block: length mismatch");
-  }
-  return vals;
+  return Status::ParseError("columnar block: length mismatch");
 }
 
-std::string EncodeDict(const std::vector<const std::string*>& vals) {
-  // Sorted unique dictionary with common-prefix compression.
-  std::vector<const std::string*> sorted(vals);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const std::string* a, const std::string* b) { return *a < *b; });
-  std::vector<const std::string*> dict;
-  for (const std::string* s : sorted) {
-    if (dict.empty() || *dict.back() != *s) dict.push_back(s);
-  }
+/// Sorted unique dictionary with common-prefix compression, then one
+/// fixed-width index per value.  `codes` are the values' codes in
+/// `dict`; distinct codes are distinct strings.
+std::string EncodeDict(const std::vector<int64_t>& codes,
+                       const StringDict& dict) {
+  std::vector<int64_t> sorted(codes);
+  std::sort(sorted.begin(), sorted.end());
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  std::sort(sorted.begin(), sorted.end(), [&dict](int64_t a, int64_t b) {
+    return dict.at(a) < dict.at(b);
+  });
+  // (code, index) pairs ordered by code, for the index lookup below.
+  std::vector<std::pair<int64_t, uint32_t>> index;
+  index.reserve(sorted.size());
   std::string out;
-  PutU32(&out, static_cast<uint32_t>(dict.size()));
-  for (size_t i = 0; i < dict.size(); ++i) {
+  PutU32(&out, static_cast<uint32_t>(sorted.size()));
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    const std::string& curr = dict.at(sorted[i]);
     size_t prefix = 0;
     if (i > 0) {
-      const std::string& prev = *dict[i - 1];
-      const std::string& curr = *dict[i];
+      const std::string& prev = dict.at(sorted[i - 1]);
       const size_t limit = std::min(prev.size(), curr.size());
       while (prefix < limit && prev[prefix] == curr[prefix]) ++prefix;
     }
     PutU32(&out, static_cast<uint32_t>(prefix));
-    PutU32(&out, static_cast<uint32_t>(dict[i]->size() - prefix));
-    out.append(*dict[i], prefix, dict[i]->size() - prefix);
+    PutU32(&out, static_cast<uint32_t>(curr.size() - prefix));
+    out.append(curr, prefix, curr.size() - prefix);
+    index.emplace_back(sorted[i], static_cast<uint32_t>(i));
   }
-  const int width = dict.size() <= 0xff ? 1 : dict.size() <= 0xffff ? 2 : 4;
+  std::sort(index.begin(), index.end());
+  const int width =
+      sorted.size() <= 0xff ? 1 : sorted.size() <= 0xffff ? 2 : 4;
   PutU8(&out, static_cast<uint8_t>(width));
-  for (const std::string* s : vals) {
-    const auto it = std::lower_bound(
-        dict.begin(), dict.end(), s,
-        [](const std::string* a, const std::string* b) { return *a < *b; });
-    const uint32_t idx = static_cast<uint32_t>(it - dict.begin());
+  for (int64_t code : codes) {
+    const uint32_t idx =
+        std::lower_bound(index.begin(), index.end(),
+                         std::make_pair(code, uint32_t{0}))
+            ->second;
     for (int b = 0; b < width; ++b) {
       PutU8(&out, static_cast<uint8_t>(idx >> (8 * b)));
     }
@@ -237,48 +236,48 @@ std::string EncodeDict(const std::vector<const std::string*>& vals) {
   return out;
 }
 
-StatusOr<std::vector<std::string>> DecodeDict(std::string_view bytes,
-                                              size_t n) {
+/// Decodes a dictionary block of `n` values: each block dictionary
+/// entry is interned into `out`'s dictionary once, and the values
+/// become codes in `codes[0, n)`.
+Status DecodeDict(std::string_view bytes, size_t n, Column* out,
+                  int64_t* codes) {
   Cursor cur(bytes);
   SQLTS_ASSIGN_OR_RETURN(uint32_t dict_size, cur.U32());
   if (dict_size > bytes.size()) {
     return Status::ParseError("columnar block: dictionary too large");
   }
-  std::vector<std::string> dict;
-  dict.reserve(dict_size);
+  std::vector<int64_t> remap;
+  remap.reserve(dict_size);
+  std::string entry;
   for (uint32_t i = 0; i < dict_size; ++i) {
     SQLTS_ASSIGN_OR_RETURN(uint32_t prefix, cur.U32());
     SQLTS_ASSIGN_OR_RETURN(uint32_t suffix, cur.U32());
-    if (i == 0 ? prefix != 0 : prefix > dict[i - 1].size()) {
+    if (i == 0 ? prefix != 0 : prefix > entry.size()) {
       return Status::ParseError("columnar block: bad dictionary prefix");
     }
     SQLTS_ASSIGN_OR_RETURN(std::string_view tail, cur.Bytes(suffix));
-    std::string entry =
-        i == 0 ? std::string() : dict[i - 1].substr(0, prefix);
+    entry.resize(prefix);
     entry.append(tail);
-    dict.push_back(std::move(entry));
+    remap.push_back(out->InternString(entry));
   }
   SQLTS_ASSIGN_OR_RETURN(uint8_t width, cur.U8());
   if (width != 1 && width != 2 && width != 4) {
     return Status::ParseError("columnar block: bad dictionary index width");
   }
-  std::vector<std::string> vals;
-  vals.reserve(n);
+  if (cur.remaining() != n * width) {
+    return Status::ParseError(cur.remaining() < n * width
+                                  ? "columnar block: truncated payload"
+                                  : "columnar block: trailing bytes");
+  }
+  SQLTS_ASSIGN_OR_RETURN(std::string_view raw, cur.Bytes(n * width));
   for (size_t i = 0; i < n; ++i) {
-    SQLTS_ASSIGN_OR_RETURN(std::string_view raw, cur.Bytes(width));
-    uint32_t idx = 0;
-    for (int b = 0; b < width; ++b) {
-      idx |= static_cast<uint32_t>(static_cast<uint8_t>(raw[b])) << (8 * b);
-    }
+    const uint64_t idx = LoadLe(raw.data() + i * width, width);
     if (idx >= dict_size) {
       return Status::ParseError("columnar block: dictionary index range");
     }
-    vals.push_back(dict[idx]);
+    codes[i] = remap[idx];
   }
-  if (cur.remaining() != 0) {
-    return Status::ParseError("columnar block: trailing bytes");
-  }
-  return vals;
+  return Status::OK();
 }
 
 }  // namespace
@@ -331,20 +330,24 @@ bool BloomMayContain(std::string_view bits, uint64_t hash) {
   return true;
 }
 
-std::string EncodeColumnBlock(const std::vector<Value>& col, int64_t start,
-                              int rows, TypeKind type, bool want_bloom,
-                              ColumnBlockMeta* meta) {
+std::string EncodeColumnBlock(const Column& col, const int64_t* rows, int n,
+                              bool want_bloom, ColumnBlockMeta* meta) {
+  const TypeKind type = col.type();
   BlockSketch& sketch = meta->sketch;
   sketch = BlockSketch{};
-  std::string bitmap((rows + 7) / 8, '\0');
-  bool has_null = false;
-  for (int r = 0; r < rows; ++r) {
-    if (col[start + r].is_null()) {
-      has_null = true;
+  std::string bitmap((n + 7) / 8, '\0');
+  for (int r = 0; r < n; ++r) {
+    if (col.is_null(rows[r])) {
       ++sketch.null_count;
     } else {
       bitmap[r >> 3] |= static_cast<char>(1u << (r & 7));
     }
+  }
+  // The non-NULL cells' source rows, in block order.
+  std::vector<int64_t> live;
+  live.reserve(n);
+  for (int r = 0; r < n; ++r) {
+    if (!col.is_null(rows[r])) live.push_back(rows[r]);
   }
 
   std::string payload;
@@ -352,27 +355,16 @@ std::string EncodeColumnBlock(const std::vector<Value>& col, int64_t start,
     case TypeKind::kInt64:
     case TypeKind::kDate: {
       std::vector<int64_t> vals;
-      vals.reserve(rows);
-      bool first = true;
-      int64_t lo = 0, hi = 0;
-      for (int r = 0; r < rows; ++r) {
-        const Value& v = col[start + r];
-        if (v.is_null()) continue;
-        const int64_t x = CellI64(v, type);
+      vals.reserve(live.size());
+      for (int64_t row : live) {
+        const int64_t x = col.ints()[row];
         vals.push_back(x);
-        if (first) {
-          lo = hi = x;
-          first = false;
-        } else {
-          lo = std::min(lo, x);
-          hi = std::max(hi, x);
-        }
         if (want_bloom) BloomAdd(&sketch.bloom, BloomHashInt64(x));
       }
-      if (!first) {
-        Status ignored = Status::OK();
-        sketch.min = I64Cell(lo, type, &ignored);
-        sketch.max = I64Cell(hi, type, &ignored);
+      if (!vals.empty()) {
+        const auto [lo, hi] = std::minmax_element(vals.begin(), vals.end());
+        sketch.min = I64Cell(*lo, type);
+        sketch.max = I64Cell(*hi, type);
       }
       payload = EncodeI64s(vals, &meta->encoding);
       break;
@@ -382,10 +374,9 @@ std::string EncodeColumnBlock(const std::vector<Value>& col, int64_t start,
       bool first = true;
       bool saw_nan = false;
       double lo = 0, hi = 0;
-      for (int r = 0; r < rows; ++r) {
-        const Value& v = col[start + r];
-        if (v.is_null()) continue;
-        const double x = v.double_value();
+      payload.reserve(8 * live.size());
+      for (int64_t row : live) {
+        const double x = col.doubles()[row];
         if (std::isnan(x)) {
           saw_nan = true;
         } else if (first) {
@@ -407,22 +398,14 @@ std::string EncodeColumnBlock(const std::vector<Value>& col, int64_t start,
     }
     case TypeKind::kBool: {
       meta->encoding = BlockEncoding::kRawBool;
-      bool first = true;
-      bool lo = false, hi = false;
-      for (int r = 0; r < rows; ++r) {
-        const Value& v = col[start + r];
-        if (v.is_null()) continue;
-        const bool x = v.bool_value();
-        if (first) {
-          lo = hi = x;
-          first = false;
-        } else {
-          lo = lo && x;
-          hi = hi || x;
-        }
+      bool lo = true, hi = false;
+      for (int64_t row : live) {
+        const bool x = col.ints()[row] != 0;
+        lo = lo && x;
+        hi = hi || x;
         PutU8(&payload, x ? 1 : 0);
       }
-      if (!first) {
+      if (!live.empty()) {
         sketch.min = Value::Bool(lo);
         sketch.max = Value::Bool(hi);
       }
@@ -430,24 +413,27 @@ std::string EncodeColumnBlock(const std::vector<Value>& col, int64_t start,
     }
     case TypeKind::kString: {
       meta->encoding = BlockEncoding::kDict;
-      std::vector<const std::string*> vals;
-      vals.reserve(rows);
-      const std::string* lo = nullptr;
-      const std::string* hi = nullptr;
-      for (int r = 0; r < rows; ++r) {
-        const Value& v = col[start + r];
-        if (v.is_null()) continue;
-        const std::string& s = v.string_value();
-        vals.push_back(&s);
-        if (lo == nullptr || s < *lo) lo = &s;
-        if (hi == nullptr || *hi < s) hi = &s;
-        if (want_bloom) BloomAdd(&sketch.bloom, BloomHashBytes(s));
-      }
-      if (lo != nullptr) {
+      std::vector<int64_t> codes;
+      codes.reserve(live.size());
+      for (int64_t row : live) codes.push_back(col.ints()[row]);
+      payload = EncodeDict(codes, col.dict());
+      if (!codes.empty()) {
+        // The dictionary payload lists the block's strings sorted.
+        const std::string* lo = nullptr;
+        const std::string* hi = nullptr;
+        for (int64_t code : codes) {
+          const std::string& v = col.dict().at(code);
+          if (lo == nullptr || v < *lo) lo = &v;
+          if (hi == nullptr || *hi < v) hi = &v;
+        }
         sketch.min = Value::String(*lo);
         sketch.max = Value::String(*hi);
+        if (want_bloom) {
+          for (int64_t code : codes) {
+            BloomAdd(&sketch.bloom, BloomHashBytes(col.dict().at(code)));
+          }
+        }
       }
-      payload = EncodeDict(vals);
       break;
     }
     case TypeKind::kNull:
@@ -456,14 +442,33 @@ std::string EncodeColumnBlock(const std::vector<Value>& col, int64_t start,
   }
 
   std::string out;
-  if (has_null) out = std::move(bitmap);
+  if (sketch.null_count > 0) out = std::move(bitmap);
   out += payload;
   return out;
 }
 
+namespace {
+
+/// Moves the `n` dense non-NULL values at the front of `slots[0, rows)`
+/// to the rows `bitmap` marks valid, and turns the rest NULL.  Works
+/// backwards in place: a value never moves to an earlier row.
+template <typename T>
+void SpreadValid(std::string_view bitmap, int rows, size_t n, int64_t base,
+                 T* slots, Column* out) {
+  size_t k = n;
+  for (int r = rows - 1; r >= 0; --r) {
+    if ((static_cast<uint8_t>(bitmap[r >> 3]) >> (r & 7)) & 1) {
+      slots[r] = slots[--k];
+    } else {
+      out->SetNull(base + r);
+    }
+  }
+}
+
+}  // namespace
+
 Status DecodeColumnBlock(std::string_view bytes, BlockEncoding encoding,
-                         TypeKind type, int rows, int64_t null_count,
-                         std::vector<Value>* out) {
+                         int rows, int64_t null_count, Column* out) {
   if (rows < 0 || null_count < 0 || null_count > rows) {
     return Status::ParseError("columnar block: bad row/null counts");
   }
@@ -484,84 +489,64 @@ Status DecodeColumnBlock(std::string_view bytes, BlockEncoding encoding,
     }
   }
   const size_t n = static_cast<size_t>(rows - null_count);
-  auto non_null = [&](int r) {
-    return null_count == 0 ||
-           ((static_cast<uint8_t>(bitmap[r >> 3]) >> (r & 7)) & 1) != 0;
-  };
-
-  switch (type) {
+  const int64_t base = out->size();
+  // Each case decodes the n non-NULL values into the front of the
+  // block's new slots, then spreads them over the valid rows.  On error
+  // `out` keeps a partial block; the caller discards it.
+  switch (out->type()) {
     case TypeKind::kInt64:
-    case TypeKind::kDate: {
-      if (encoding != BlockEncoding::kRawI64 &&
-          encoding != BlockEncoding::kForI64 &&
-          encoding != BlockEncoding::kRleI64) {
-        return Status::ParseError("columnar block: encoding/type mismatch");
-      }
-      SQLTS_ASSIGN_OR_RETURN(std::vector<int64_t> vals,
-                             DecodeI64s(bytes, encoding, n));
-      size_t k = 0;
-      Status bad = Status::OK();
-      for (int r = 0; r < rows; ++r) {
-        if (!non_null(r)) {
-          out->push_back(Value::Null());
-          continue;
+    case TypeKind::kDate:
+    case TypeKind::kBool:
+    case TypeKind::kString: {
+      int64_t* slots = out->AppendInts(rows);
+      if (out->type() == TypeKind::kString) {
+        if (encoding != BlockEncoding::kDict) {
+          return Status::ParseError("columnar block: encoding/type mismatch");
         }
-        out->push_back(I64Cell(vals[k++], type, &bad));
-        if (!bad.ok()) return bad;
+        SQLTS_RETURN_IF_ERROR(DecodeDict(bytes, n, out, slots));
+      } else if (out->type() == TypeKind::kBool) {
+        if (encoding != BlockEncoding::kRawBool) {
+          return Status::ParseError("columnar block: encoding/type mismatch");
+        }
+        if (bytes.size() != n) {
+          return Status::ParseError("columnar block: length mismatch");
+        }
+        for (size_t k = 0; k < n; ++k) {
+          const uint8_t b = static_cast<uint8_t>(bytes[k]);
+          if (b > 1) return Status::ParseError("columnar block: bad bool");
+          slots[k] = b;
+        }
+      } else {
+        if (encoding != BlockEncoding::kRawI64 &&
+            encoding != BlockEncoding::kForI64 &&
+            encoding != BlockEncoding::kRleI64) {
+          return Status::ParseError("columnar block: encoding/type mismatch");
+        }
+        SQLTS_RETURN_IF_ERROR(DecodeI64s(bytes, encoding, n, slots));
+        if (out->type() == TypeKind::kDate) {
+          for (size_t k = 0; k < n; ++k) {
+            if (slots[k] < std::numeric_limits<int32_t>::min() ||
+                slots[k] > std::numeric_limits<int32_t>::max()) {
+              return Status::ParseError("columnar block: date out of range");
+            }
+          }
+        }
       }
+      if (null_count > 0) SpreadValid(bitmap, rows, n, base, slots, out);
       return Status::OK();
     }
     case TypeKind::kDouble: {
       if (encoding != BlockEncoding::kRawF64) {
         return Status::ParseError("columnar block: encoding/type mismatch");
       }
-      Cursor cur(bytes);
-      std::vector<double> vals;
-      vals.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        SQLTS_ASSIGN_OR_RETURN(uint64_t raw, cur.U64());
-        vals.push_back(std::bit_cast<double>(raw));
-      }
-      if (cur.remaining() != 0) {
-        return Status::ParseError("columnar block: trailing bytes");
-      }
-      size_t k = 0;
-      for (int r = 0; r < rows; ++r) {
-        out->push_back(non_null(r) ? Value::Double(vals[k++])
-                                   : Value::Null());
-      }
-      return Status::OK();
-    }
-    case TypeKind::kBool: {
-      if (encoding != BlockEncoding::kRawBool) {
-        return Status::ParseError("columnar block: encoding/type mismatch");
-      }
-      if (bytes.size() != n) {
+      if (bytes.size() != 8 * n) {
         return Status::ParseError("columnar block: length mismatch");
       }
-      size_t k = 0;
-      for (int r = 0; r < rows; ++r) {
-        if (!non_null(r)) {
-          out->push_back(Value::Null());
-          continue;
-        }
-        const uint8_t b = static_cast<uint8_t>(bytes[k++]);
-        if (b > 1) return Status::ParseError("columnar block: bad bool");
-        out->push_back(Value::Bool(b != 0));
+      double* slots = out->AppendDoubles(rows);
+      for (size_t k = 0; k < n; ++k) {
+        slots[k] = std::bit_cast<double>(LoadLe(bytes.data() + 8 * k, 8));
       }
-      return Status::OK();
-    }
-    case TypeKind::kString: {
-      if (encoding != BlockEncoding::kDict) {
-        return Status::ParseError("columnar block: encoding/type mismatch");
-      }
-      SQLTS_ASSIGN_OR_RETURN(std::vector<std::string> vals,
-                             DecodeDict(bytes, n));
-      size_t k = 0;
-      for (int r = 0; r < rows; ++r) {
-        out->push_back(non_null(r) ? Value::String(std::move(vals[k++]))
-                                   : Value::Null());
-      }
+      if (null_count > 0) SpreadValid(bitmap, rows, n, base, slots, out);
       return Status::OK();
     }
     case TypeKind::kNull:

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/statusor.h"
+#include "storage/table.h"
 #include "types/schema.h"
 #include "types/value.h"
 
@@ -115,22 +116,22 @@ struct ColumnarFooter {
   std::vector<std::vector<ColumnBlockMeta>> columns;
 };
 
-/// Encodes one column slice [start, start+rows) of `col` (the raw
-/// column vector of a Table).  Picks the cheapest eligible encoding for
-/// the column type, fills `meta`'s encoding + sketch (offset/size/
-/// checksum are the caller's), and returns the encoded bytes.
-/// `want_bloom` adds a per-block bloom filter (string/int64/date
-/// columns only).
-std::string EncodeColumnBlock(const std::vector<Value>& col, int64_t start,
-                              int rows, TypeKind type, bool want_bloom,
-                              ColumnBlockMeta* meta);
+/// Encodes the cells of `col` at source rows `rows[0, n)`, in that
+/// (file) order, as one column block.  Picks the cheapest eligible
+/// encoding for the column type, fills `meta`'s encoding + sketch
+/// (offset/size/checksum are the caller's), and returns the encoded
+/// bytes.  `want_bloom` adds a per-block bloom filter (string/int64/
+/// date columns only).
+std::string EncodeColumnBlock(const Column& col, const int64_t* rows, int n,
+                              bool want_bloom, ColumnBlockMeta* meta);
 
-/// Decodes one encoded column block back into `rows` Values appended to
-/// `out`.  Bounds-checked: corrupt or truncated bytes yield a typed
+/// Decodes one encoded column block of `rows` cells, appending them to
+/// `out` (whose type is the column's).  A kDict block's strings are
+/// interned into `out`'s dictionary once each and its indexes become
+/// codes.  Bounds-checked: corrupt or truncated bytes yield a typed
 /// ParseError, never UB or a crash.
 Status DecodeColumnBlock(std::string_view bytes, BlockEncoding encoding,
-                         TypeKind type, int rows, int64_t null_count,
-                         std::vector<Value>* out);
+                         int rows, int64_t null_count, Column* out);
 
 /// Footer serialization (CheckpointWriter/Reader field conventions).
 std::string EncodeFooter(const ColumnarFooter& footer);

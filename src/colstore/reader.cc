@@ -1,6 +1,11 @@
 #include "colstore/reader.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+
+#include <cerrno>
 #include <cstring>
+#include <fstream>
 
 #include "engine/checkpoint.h"
 
@@ -70,32 +75,51 @@ bool ColumnarReader::SniffFile(const std::string& path) {
          SniffBytes(std::string_view(buf, sizeof(buf)));
 }
 
+StatusOr<size_t> PreadFull(int fd, uint64_t offset, char* buf, size_t n,
+                           PreadFn pread_fn) {
+  size_t done = 0;
+  while (done < n) {
+    const ssize_t got = pread_fn(fd, buf + done, n - done,
+                                 static_cast<off_t>(offset + done));
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      return Status::IoError(std::string("columnar container: read failed: ") +
+                             std::strerror(errno));
+    }
+    if (got == 0) break;  // end of file
+    done += static_cast<size_t>(got);
+  }
+  return done;
+}
+
+ColumnarReader::~ColumnarReader() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
 StatusOr<std::unique_ptr<ColumnarReader>> ColumnarReader::Open(
     const std::string& path) {
   auto reader = std::unique_ptr<ColumnarReader>(new ColumnarReader());
-  reader->file_.open(path, std::ios::binary);
-  if (!reader->file_) {
+  reader->fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (reader->fd_ < 0) {
     return Status::IoError("cannot open '" + path + "'");
   }
-  reader->file_.seekg(0, std::ios::end);
-  const auto end = reader->file_.tellg();
-  if (end < 0) return Status::IoError("cannot stat '" + path + "'");
-  reader->file_size_ = static_cast<uint64_t>(end);
-  reader->file_.seekg(0);
+  struct stat st;
+  if (::fstat(reader->fd_, &st) != 0) {
+    return Status::IoError("cannot stat '" + path + "'");
+  }
+  reader->file_size_ = static_cast<uint64_t>(st.st_size);
   std::string head(kColumnarHeaderSize, '\0');
-  reader->file_.read(head.data(),
-                     static_cast<std::streamsize>(head.size()));
-  if (reader->file_.gcount() !=
-      static_cast<std::streamsize>(kColumnarHeaderSize)) {
+  SQLTS_ASSIGN_OR_RETURN(
+      size_t got, PreadFull(reader->fd_, 0, head.data(), head.size()));
+  if (got != kColumnarHeaderSize) {
     return Status::ParseError("columnar container: truncated header");
   }
   SQLTS_ASSIGN_OR_RETURN(Header h, ParseHeader(head, reader->file_size_));
   std::string footer_bytes(h.footer_size, '\0');
-  reader->file_.seekg(static_cast<std::streamoff>(h.footer_offset));
-  reader->file_.read(footer_bytes.data(),
-                     static_cast<std::streamsize>(footer_bytes.size()));
-  if (reader->file_.gcount() !=
-      static_cast<std::streamsize>(h.footer_size)) {
+  SQLTS_ASSIGN_OR_RETURN(got, PreadFull(reader->fd_, h.footer_offset,
+                                        footer_bytes.data(),
+                                        footer_bytes.size()));
+  if (got != h.footer_size) {
     return Status::ParseError("columnar container: truncated footer");
   }
   if (Fnv1a64(footer_bytes) != h.footer_checksum) {
@@ -103,14 +127,12 @@ StatusOr<std::unique_ptr<ColumnarReader>> ColumnarReader::Open(
   }
   SQLTS_ASSIGN_OR_RETURN(reader->footer_,
                          DecodeFooter(footer_bytes, reader->file_size_));
-  reader->file_.clear();
   return reader;
 }
 
 StatusOr<std::unique_ptr<ColumnarReader>> ColumnarReader::OpenBytes(
     std::string bytes) {
   auto reader = std::unique_ptr<ColumnarReader>(new ColumnarReader());
-  reader->in_memory_ = true;
   reader->buffer_ = std::move(bytes);
   reader->file_size_ = reader->buffer_.size();
   SQLTS_ASSIGN_OR_RETURN(Header h,
@@ -126,19 +148,20 @@ StatusOr<std::unique_ptr<ColumnarReader>> ColumnarReader::OpenBytes(
   return reader;
 }
 
-StatusOr<std::string> ColumnarReader::FetchBlockBytes(int col, int block) {
+StatusOr<std::string_view> ColumnarReader::FetchBlockBytes(
+    int col, int block, std::string* scratch) {
   const ColumnBlockMeta& m = footer_.columns[col][block];
-  std::string bytes(m.size, '\0');
-  if (in_memory_) {
-    std::memcpy(bytes.data(), buffer_.data() + m.offset, m.size);
+  std::string_view bytes;
+  if (fd_ < 0) {
+    bytes = std::string_view(buffer_).substr(m.offset, m.size);
   } else {
-    std::lock_guard<std::mutex> lock(mu_);
-    file_.clear();
-    file_.seekg(static_cast<std::streamoff>(m.offset));
-    file_.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (file_.gcount() != static_cast<std::streamsize>(m.size)) {
+    scratch->resize(m.size);
+    SQLTS_ASSIGN_OR_RETURN(
+        size_t got, PreadFull(fd_, m.offset, scratch->data(), m.size));
+    if (got != m.size) {
       return Status::IoError("columnar container: short block read");
     }
+    bytes = *scratch;
   }
   if (Fnv1a64(bytes) != m.checksum) {
     return Status::ParseError("columnar container: block checksum mismatch (column " +
@@ -160,16 +183,19 @@ StatusOr<Table> ColumnarReader::ReadBlockRange(int first_block,
   for (int b = first_block; b < first_block + num_blocks; ++b) {
     rows += footer_.blocks[b].row_count;
   }
-  std::vector<std::vector<Value>> columns(footer_.schema.num_columns());
+  std::vector<Column> columns;
+  columns.reserve(footer_.schema.num_columns());
+  std::string scratch;
   for (int c = 0; c < footer_.schema.num_columns(); ++c) {
-    const TypeKind type = footer_.schema.column(c).type;
-    columns[c].reserve(rows);
+    Column& col = columns.emplace_back(footer_.schema.column(c).type);
+    col.Reserve(rows);
     for (int b = first_block; b < first_block + num_blocks; ++b) {
-      SQLTS_ASSIGN_OR_RETURN(std::string bytes, FetchBlockBytes(c, b));
+      SQLTS_ASSIGN_OR_RETURN(std::string_view bytes,
+                             FetchBlockBytes(c, b, &scratch));
       const ColumnBlockMeta& m = footer_.columns[c][b];
-      SQLTS_RETURN_IF_ERROR(DecodeColumnBlock(
-          bytes, m.encoding, type, footer_.blocks[b].row_count,
-          m.sketch.null_count, &columns[c]));
+      SQLTS_RETURN_IF_ERROR(DecodeColumnBlock(bytes, m.encoding,
+                                              footer_.blocks[b].row_count,
+                                              m.sketch.null_count, &col));
     }
   }
   return Table::FromColumns(footer_.schema, std::move(columns));

@@ -84,16 +84,12 @@ StatusOr<std::string> ColumnarWriter::WriteBytes(
     }
   }
 
-  // Materialize each column in file order once, then encode per block.
+  // Encode each block straight from the typed columns, gathering the
+  // block's rows through `order`.
   std::string data;
   footer.columns.resize(schema.num_columns());
-  std::vector<Value> col;
   for (int c = 0; c < schema.num_columns(); ++c) {
     const TypeKind type = schema.column(c).type;
-    const std::vector<Value>& src = table.column_data(c);
-    col.clear();
-    col.reserve(order.size());
-    for (int64_t r : order) col.push_back(src[r]);
     const bool want_bloom =
         options.bloom && (type == TypeKind::kString ||
                           type == TypeKind::kInt64 || type == TypeKind::kDate);
@@ -101,8 +97,9 @@ StatusOr<std::string> ColumnarWriter::WriteBytes(
     for (size_t b = 0; b < footer.blocks.size(); ++b) {
       const RowBlockMeta& rb = footer.blocks[b];
       ColumnBlockMeta& m = footer.columns[c][b];
-      std::string bytes = EncodeColumnBlock(col, rb.start_row, rb.row_count,
-                                            type, want_bloom, &m);
+      std::string bytes =
+          EncodeColumnBlock(table.column(c), order.data() + rb.start_row,
+                            rb.row_count, want_bloom, &m);
       m.offset = kColumnarHeaderSize + data.size();
       m.size = bytes.size();
       m.checksum = Fnv1a64(bytes);

@@ -83,6 +83,32 @@ void CheckpointWriter::WriteRow(const Row& row) {
   for (const Value& v : row) WriteValue(v);
 }
 
+void CheckpointWriter::WriteRow(const Table& table, int64_t row) {
+  WriteU32(static_cast<uint32_t>(table.schema().num_columns()));
+  for (int c = 0; c < table.schema().num_columns(); ++c) {
+    const Column& col = table.column(c);
+    const TypeKind kind = col.is_null(row) ? TypeKind::kNull : col.type();
+    WriteU8(static_cast<uint8_t>(kind));
+    switch (kind) {
+      case TypeKind::kNull:
+        break;
+      case TypeKind::kBool:
+        WriteBool(col.ints()[row] != 0);
+        break;
+      case TypeKind::kInt64:
+      case TypeKind::kDate:  // the day number, as WriteValue writes it
+        WriteI64(col.ints()[row]);
+        break;
+      case TypeKind::kDouble:
+        WriteDouble(col.doubles()[row]);
+        break;
+      case TypeKind::kString:
+        WriteString(col.string_at(row));
+        break;
+    }
+  }
+}
+
 std::string CheckpointWriter::Finalize() const {
   std::string out(kCheckpointMagic);
   AppendLe(&out, kCheckpointVersion, 4);

@@ -6,6 +6,7 @@
 #include <string_view>
 
 #include "common/statusor.h"
+#include "storage/table.h"
 #include "types/schema.h"
 #include "types/value.h"
 
@@ -53,6 +54,9 @@ class CheckpointWriter {
   void WriteValue(const Value& v);
   /// Arity (u32) + each value.
   void WriteRow(const Row& row);
+  /// The same bytes as WriteRow(table.GetRow(row)), read from the
+  /// typed slots without boxing a Value.
+  void WriteRow(const Table& table, int64_t row);
 
   const std::string& payload() const { return payload_; }
 

@@ -221,18 +221,21 @@ void OpsStreamMatcher::MaybeEvict() {
   // anchored references) can reach is dead.
   const int64_t waste = LowestReach() - base_;
   if (waste < 4096 || waste < buffer_.num_rows() / 2) return;
-  Table compacted(schema_);
-  for (int64_t r = 0; r < buffer_.num_rows(); ++r) {
-    Row row = buffer_.GetRow(r);
-    if (r < waste) {
-      buffered_bytes_ -= EstimateRowBytes(row);
-    } else {
-      SQLTS_CHECK_OK(compacted.AppendRow(std::move(row)));
+  // EstimateRowBytes summed over the dead rows, read from the slots.
+  int64_t bytes = waste * static_cast<int64_t>(
+                              sizeof(Value) * (schema_.num_columns() + 1));
+  for (int c = 0; c < schema_.num_columns(); ++c) {
+    const Column& col = buffer_.column(c);
+    if (col.type() != TypeKind::kString) continue;
+    for (int64_t r = 0; r < waste; ++r) {
+      if (!col.is_null(r)) {
+        bytes += static_cast<int64_t>(col.string_at(r).size());
+      }
     }
   }
-  buffer_ = std::move(compacted);
-  view_rows_.resize(buffer_.num_rows());
-  for (int64_t r = 0; r < buffer_.num_rows(); ++r) view_rows_[r] = r;
+  buffered_bytes_ -= bytes;
+  buffer_.DropPrefix(waste);
+  view_rows_.resize(buffer_.num_rows());  // still the identity
   base_ += waste;
 }
 
@@ -244,7 +247,7 @@ void OpsStreamMatcher::Checkpoint(CheckpointWriter* writer) const {
   writer->WriteI64(first);
   writer->WriteU64(static_cast<uint64_t>(pushed_ - first));
   for (int64_t r = first - base_; r < buffer_.num_rows(); ++r) {
-    writer->WriteRow(buffer_.GetRow(r));
+    writer->WriteRow(buffer_, r);
   }
   uint32_t live = 0;
   for (const auto& c : cursors_) live += c != nullptr ? 1 : 0;

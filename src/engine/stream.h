@@ -126,6 +126,9 @@ class OpsStreamMatcher {
   }
   /// Number of tuples currently buffered (bounded-memory check).
   int64_t buffered() const { return buffer_.num_rows(); }
+  /// The buffered tuples: row 0 is absolute position pushed() -
+  /// buffered().
+  const Table& buffer() const { return buffer_; }
   /// Estimated bytes held by the buffered tuples.
   int64_t buffered_bytes() const { return buffered_bytes_; }
   /// High-water marks of the two gauges above over the matcher's life.
@@ -168,7 +171,8 @@ class OpsStreamMatcher {
   Status CheckBudget(const Cursor& c) const;
   /// Appends one tuple to the buffer.
   void Append(Row row);
-  /// Drops buffer rows no cursor can reach.
+  /// Drops buffer rows no cursor can reach, as one prefix drop of
+  /// every column (STRING dictionaries keep only live strings).
   void MaybeEvict();
 
   Schema schema_;

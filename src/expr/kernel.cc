@@ -39,7 +39,6 @@ struct RunCtx {
   int lane0, lane1;  // active lanes [lane0, lane1)
   int w0, w1;        // words overlapping the active lanes
   LaneBuf* bufs;
-  uint64_t escape[kKernelWords];  // lanes deferred to the interpreter
 };
 
 inline void SetBit(uint64_t* words, int l) {
@@ -84,61 +83,42 @@ inline double LaneF64(const LaneBuf& b, VType t, int l) {
   return t == VType::kF64 ? b.f64[l] : static_cast<double>(b.i64[l]);
 }
 
-enum class CellSt : uint8_t { kOk, kNull, kEscape };
-
-/// Hoisted raw access to one column of the view's table: the pointer
-/// chases and bounds checks behind SequenceView::at cost more than the
-/// comparison itself when paid per cell, so each node hoists a cursor
-/// once per block and lanes pay one range check + two loads.
+/// Hoisted raw access to one typed column of the view's table: the
+/// pointer chases and bounds checks behind SequenceView::at cost more
+/// than the comparison itself when paid per cell, so each node hoists
+/// a cursor once per block and lanes pay one range check, a null-bit
+/// test and a typed load.
 ///
 /// Load semantics match the interpreter exactly: out-of-range
-/// positions are NULL (navigation off the sequence), NULL cells are
-/// NULL, and a cell whose runtime kind does not match the declared
-/// column type (Table enforces this, so only a hypothetical future
-/// ingest path could produce one) escapes the lane to the interpreter
-/// rather than guessing.
+/// positions are NULL (navigation off the sequence) and NULL cells are
+/// NULL.  A lane's type comes from the schema, which also fixes the
+/// column's slots, so a non-NULL cell always loads.
 struct ColCursor {
-  const Value* data;
+  const int64_t* ints;
+  const double* doubles;
+  const uint64_t* nulls;
   const int64_t* rows;
   int64_t n;
 
   ColCursor(const SequenceView& seq, int col)
-      : data(seq.table().column_data(col).data()),
+      : ints(seq.table().column(col).ints()),
+        doubles(seq.table().column(col).doubles()),
+        nulls(seq.table().column(col).null_words()),
         rows(seq.row_data()),
         n(seq.size()) {}
 
-  CellSt Load(int64_t p, VType t, int64_t* i64v, double* f64v) const {
-    if (p < 0 || p >= n) return CellSt::kNull;
-    const Value& v = data[rows[p]];
-    switch (t) {
-      case VType::kI64:
-        if (const int64_t* x = v.int64_if()) {
-          *i64v = *x;
-          return CellSt::kOk;
-        }
-        break;
-      case VType::kF64:
-        if (const double* x = v.double_if()) {
-          *f64v = *x;
-          return CellSt::kOk;
-        }
-        break;
-      case VType::kDate:
-        if (const Date* x = v.date_if()) {
-          *i64v = x->days_since_epoch();
-          return CellSt::kOk;
-        }
-        break;
-      case VType::kBool:
-        if (const bool* x = v.bool_if()) {
-          *i64v = *x ? 1 : 0;
-          return CellSt::kOk;
-        }
-        break;
-      default:
-        return CellSt::kEscape;
+  /// False for NULL; otherwise the cell is in *f64v (kF64 lanes) or
+  /// *i64v (every other lane type: value, day number or 0/1).
+  bool Load(int64_t p, VType t, int64_t* i64v, double* f64v) const {
+    if (p < 0 || p >= n) return false;
+    const int64_t r = rows[p];
+    if ((nulls[r >> 6] >> (r & 63)) & 1) return false;
+    if (t == VType::kF64) {
+      *f64v = doubles[r];
+    } else {
+      *i64v = ints[r];
     }
-    return v.holds_null() ? CellSt::kNull : CellSt::kEscape;
+    return true;
   }
 };
 
@@ -239,20 +219,16 @@ struct LoadNode : Node {
     if (type == VType::kBool) ZeroRange(o.true_bits, *ctx);
     const ColCursor cur(*ctx->seq, col);
     for (int l = ctx->lane0; l < ctx->lane1; ++l) {
-      int64_t iv;
-      double fv;
-      CellSt st = cur.Load(ctx->pos0 + l + off, type, &iv, &fv);
-      if (st == CellSt::kOk) {
-        if (type == VType::kF64) {
-          o.f64[l] = fv;
-        } else if (type == VType::kBool) {
-          if (iv != 0) SetBit(o.true_bits, l);
-        } else {
-          o.i64[l] = iv;
-        }
-      } else {
+      int64_t iv = 0;
+      double fv = 0;
+      if (!cur.Load(ctx->pos0 + l + off, type, &iv, &fv)) {
         SetBit(o.null_bits, l);
-        if (st == CellSt::kEscape) SetBit(ctx->escape, l);
+      } else if (type == VType::kF64) {
+        o.f64[l] = fv;
+      } else if (type == VType::kBool) {
+        if (iv != 0) SetBit(o.true_bits, l);
+      } else {
+        o.i64[l] = iv;
       }
     }
   }
@@ -552,12 +528,10 @@ struct ColCmpLitNode : Node {
                            ? (lit.bool_value() ? 1 : 0)
                            : 0;
     for (int l = ctx->lane0; l < ctx->lane1; ++l) {
-      int64_t iv;
-      double fv;
-      CellSt st = cur.Load(ctx->pos0 + l + off, ct, &iv, &fv);
-      if (st != CellSt::kOk) {
+      int64_t iv = 0;
+      double fv = 0;
+      if (!cur.Load(ctx->pos0 + l + off, ct, &iv, &fv)) {
         SetBit(o.null_bits, l);
-        if (st == CellSt::kEscape) SetBit(ctx->escape, l);
         continue;
       }
       int c;
@@ -594,15 +568,11 @@ struct ColCmpColNode : Node {
     const ColCursor cura(*ctx->seq, cola);
     const ColCursor curb(*ctx->seq, colb);
     for (int l = ctx->lane0; l < ctx->lane1; ++l) {
-      int64_t ia, ib;
-      double fa, fb;
-      CellSt sa = cura.Load(ctx->pos0 + l + offa, ta, &ia, &fa);
-      CellSt sb = curb.Load(ctx->pos0 + l + offb, tb, &ib, &fb);
-      if (sa != CellSt::kOk || sb != CellSt::kOk) {
+      int64_t ia = 0, ib = 0;
+      double fa = 0, fb = 0;
+      if (!cura.Load(ctx->pos0 + l + offa, ta, &ia, &fa) ||
+          !curb.Load(ctx->pos0 + l + offb, tb, &ib, &fb)) {
         SetBit(o.null_bits, l);
-        if (sa == CellSt::kEscape || sb == CellSt::kEscape) {
-          SetBit(ctx->escape, l);
-        }
         continue;
       }
       int c;
@@ -657,15 +627,11 @@ struct ColCmpScaledColNode : Node {
                           : static_cast<double>(lit.int64_value());
     const int64_t li = lit.kind() == TypeKind::kInt64 ? lit.int64_value() : 0;
     for (int l = ctx->lane0; l < ctx->lane1; ++l) {
-      int64_t ia, ib;
-      double fa, fb;
-      CellSt sa = cura.Load(ctx->pos0 + l + offa, ta, &ia, &fa);
-      CellSt sb = curb.Load(ctx->pos0 + l + offb, tb, &ib, &fb);
-      if (sa != CellSt::kOk || sb != CellSt::kOk) {
+      int64_t ia = 0, ib = 0;
+      double fa = 0, fb = 0;
+      if (!cura.Load(ctx->pos0 + l + offa, ta, &ia, &fa) ||
+          !curb.Load(ctx->pos0 + l + offb, tb, &ib, &fb)) {
         SetBit(o.null_bits, l);
-        if (sa == CellSt::kEscape || sb == CellSt::kEscape) {
-          SetBit(ctx->escape, l);
-        }
         continue;
       }
       int c;
@@ -1014,7 +980,6 @@ std::unique_ptr<PredicateKernel> PredicateKernel::Compile(
   if (rt != VType::kBool && rt != VType::kNull) return nullptr;
   auto kernel = std::unique_ptr<PredicateKernel>(new PredicateKernel());
   kernel->nodes_ = std::move(builder.nodes);
-  kernel->expr_ = expr;
   kernel->root_ = root;
   kernel->min_offset_ = builder.min_off;
   kernel->max_offset_ = builder.max_off;
@@ -1034,7 +999,6 @@ void PredicateKernel::EvalBlock(const SequenceView& seq, int64_t pos0,
   ctx.w1 = (lane1 + 63) >> 6;
   ctx.bufs = scratch->Prepare(static_cast<int>(nodes_.size()));
   for (int w = 0; w < kKernelWords; ++w) {
-    ctx.escape[w] = 0;
     out->true_bits[w] = 0;
     out->null_bits[w] = 0;
   }
@@ -1044,27 +1008,9 @@ void PredicateKernel::EvalBlock(const SequenceView& seq, int64_t pos0,
   uint64_t range[kKernelWords] = {0, 0, 0, 0};
   for (int l = lane0; l < lane1; ++l) kernel_internal::SetBit(range, l);
   const LaneBuf& r = ctx.bufs[root_];
-  bool escaped = false;
   for (int w = ctx.w0; w < ctx.w1; ++w) {
-    uint64_t live = range[w] & ~ctx.escape[w];
-    out->null_bits[w] = r.null_bits[w] & live;
-    out->true_bits[w] = r.true_bits[w] & ~r.null_bits[w] & live;
-    if ((ctx.escape[w] & range[w]) != 0) escaped = true;
-  }
-  if (!escaped) return;
-  // Lanes whose cells had unexpected runtime kinds: defer to the
-  // interpreter (always-correct path) lane by lane.
-  for (int l = lane0; l < lane1; ++l) {
-    if (((ctx.escape[l >> 6] >> (l & 63)) & 1) == 0) continue;
-    EvalContext ectx;
-    ectx.seq = &seq;
-    ectx.pos = pos0 + l;
-    Value v = EvalExpr(*expr_, ectx);
-    if (v.kind() == TypeKind::kBool) {
-      if (v.bool_value()) kernel_internal::SetBit(out->true_bits, l);
-    } else {
-      kernel_internal::SetBit(out->null_bits, l);
-    }
+    out->null_bits[w] = r.null_bits[w] & range[w];
+    out->true_bits[w] = r.true_bits[w] & ~r.null_bits[w] & range[w];
   }
 }
 

@@ -137,7 +137,6 @@ class PredicateKernel {
   PredicateKernel() = default;
 
   std::vector<std::unique_ptr<kernel_internal::Node>> nodes_;  // post-order
-  ExprPtr expr_;  // interpreter fallback for escaped lanes
   int root_ = -1;
   int min_offset_ = 0;
   int max_offset_ = 0;

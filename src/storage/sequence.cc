@@ -1,6 +1,7 @@
 #include "storage/sequence.h"
 
 #include <algorithm>
+#include <cstring>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -15,74 +16,64 @@ int Sign(T x, T y) {
   return x < y ? -1 : (x > y ? 1 : 0);
 }
 
-/// Three-way order of two non-NULL cells of one column type, exactly as
-/// Value::Compare orders them (doubles by num::CompareF64: NaN last,
-/// -0.0 == +0.0).
-using CellCompare = int (*)(const Value&, const Value&);
-
-CellCompare CompareFor(TypeKind type) {
-  switch (type) {
-    case TypeKind::kBool:
-      return [](const Value& x, const Value& y) {
-        return Sign(*x.bool_if(), *y.bool_if());
-      };
-    case TypeKind::kInt64:
-      return [](const Value& x, const Value& y) {
-        return Sign(*x.int64_if(), *y.int64_if());
-      };
-    case TypeKind::kDouble:
-      return [](const Value& x, const Value& y) {
-        return num::CompareF64(*x.double_if(), *y.double_if());
-      };
-    case TypeKind::kString:
-      return [](const Value& x, const Value& y) {
-        return Sign(x.string_if()->compare(*y.string_if()), 0);
-      };
-    case TypeKind::kDate:
-      return [](const Value& x, const Value& y) {
-        return Sign(x.date_if()->days_since_epoch(),
-                    y.date_if()->days_since_epoch());
-      };
-    case TypeKind::kNull:
-      break;
-  }
-  return [](const Value&, const Value&) { return 0; };
-}
-
-/// Ascending SEQUENCE BY order over the row indices of one table, typed
-/// once per column: NULLs first, then the column's own order.  A Table
-/// holds one type per column, so every pair of cells is comparable.
+/// Ascending SEQUENCE BY order over the row indices of one table, read
+/// from the typed slots: NULLs first, then the column's own order, as
+/// Value::Compare orders it (doubles by num::CompareF64: NaN last,
+/// -0.0 == +0.0; strings by their bytes, and equal codes compare equal
+/// without reading the strings).
 class SequenceOrder {
  public:
   SequenceOrder(const Table& table, const std::vector<int>& cols) {
-    for (int c : cols) {
-      columns_.push_back({&table.column_data(c),
-                          CompareFor(table.schema().column(c).type)});
-    }
+    for (int c : cols) columns_.push_back(&table.column(c));
   }
 
   bool operator()(int64_t a, int64_t b) const {
-    for (const Column& col : columns_) {
-      const Value& x = (*col.cells)[a];
-      const Value& y = (*col.cells)[b];
-      const bool xn = x.holds_null(), yn = y.holds_null();
-      if (xn || yn) {
-        if (xn != yn) return xn;
+    for (const Column* col : columns_) {
+      const bool an = col->is_null(a), bn = col->is_null(b);
+      if (an || bn) {
+        if (an != bn) return an;
         continue;
       }
-      const int c = col.compare(x, y);
+      const int c = Compare(*col, a, b);
       if (c != 0) return c < 0;
     }
     return false;
   }
 
  private:
-  struct Column {
-    const std::vector<Value>* cells;
-    CellCompare compare;
-  };
-  std::vector<Column> columns_;
+  static int Compare(const Column& col, int64_t a, int64_t b) {
+    switch (col.type()) {
+      case TypeKind::kDouble:
+        return num::CompareF64(col.doubles()[a], col.doubles()[b]);
+      case TypeKind::kString: {
+        const int64_t x = col.ints()[a], y = col.ints()[b];
+        if (x == y) return 0;
+        return Sign(col.dict().at(x).compare(col.dict().at(y)), 0);
+      }
+      default:
+        return Sign(col.ints()[a], col.ints()[b]);
+    }
+  }
+
+  std::vector<const Column*> columns_;
 };
+
+/// True when rows `a` and `b` hold identical slots in every column of
+/// `cols`, which makes their encoded keys equal.
+bool SameSlots(const Table& table, int64_t a, int64_t b,
+               const std::vector<int>& cols) {
+  for (int c : cols) {
+    const Column& col = table.column(c);
+    if (col.is_null(a) != col.is_null(b)) return false;
+    if (col.type() == TypeKind::kDouble
+            ? std::memcmp(&col.doubles()[a], &col.doubles()[b],
+                          sizeof(double)) != 0
+            : col.ints()[a] != col.ints()[b]) {
+      return false;
+    }
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -102,15 +93,17 @@ StatusOr<ClusteredSequence> ClusteredSequence::Build(
   }
 
   // Group rows by encoded cluster key into dense ids, in first-appearance
-  // order.  A row keyed like its predecessor skips the probe.
+  // order.  A row whose cluster cells hold the same slots as its
+  // predecessor's (a STRING slot is a dictionary code) has its key, and
+  // skips encoding and the probe.
   ClusteredSequence out;
   std::unordered_map<std::string, int> ids;
   std::vector<std::vector<int64_t>> groups;
-  std::string key, prev_key;
+  std::string key;
   int id = -1;
   for (int64_t r = 0; r < table->num_rows(); ++r) {
-    EncodeClusterKey(*table, r, cluster_cols, &key);
-    if (id < 0 || key != prev_key) {
+    if (id < 0 || !SameSlots(*table, r - 1, r, cluster_cols)) {
+      EncodeClusterKey(*table, r, cluster_cols, &key);
       auto it = ids.find(key);
       if (it == ids.end()) {
         it = ids.emplace(key, static_cast<int>(groups.size())).first;
@@ -121,7 +114,6 @@ StatusOr<ClusteredSequence> ClusteredSequence::Build(
         groups.emplace_back();
       }
       id = it->second;
-      std::swap(key, prev_key);
     }
     groups[id].push_back(r);
   }

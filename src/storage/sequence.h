@@ -46,7 +46,7 @@ class SequenceView {
   /// Value of column `col` of the tuple at sequence position `pos`
   /// (0-based).  Out-of-range positions are checked invariants; use
   /// `InRange` first for previous/next navigation.
-  const Value& at(int64_t pos, int col) const {
+  Value at(int64_t pos, int col) const {
     return table_->at((*rows_)[first_ + pos], col);
   }
 

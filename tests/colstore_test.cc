@@ -6,11 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <cerrno>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "colstore/format.h"
@@ -142,6 +149,155 @@ TEST(ColumnarRoundTrip, EmptyTableAndManyBlocks) {
   auto full = reader->ReadTable();
   ASSERT_TRUE(full.ok()) << full.status();
   ExpectTablesEqual(big, *full);
+}
+
+/// A file under the test temp directory, removed when the test ends.
+class TempFile {
+ public:
+  explicit TempFile(const std::string& name)
+      : path_(::testing::TempDir() + name + "." +
+              std::to_string(::getpid())) {}
+  ~TempFile() { std::filesystem::remove(path_); }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+/// Three clusters over many blocks, with NULLs in both nullable columns.
+Table ManyBlockTable() {
+  Table t(QuoteSchema());
+  const char* names[] = {"IBM", "AAPL", "XEROX"};
+  const int rows[] = {700, 300, 1100};
+  for (int k = 0; k < 3; ++k) {
+    for (int i = 0; i < rows[k]; ++i) {
+      SQLTS_CHECK_OK(t.AppendRow(
+          {Value::String(names[k]), Value::FromDate(Date(10000 + i)),
+           i % 11 == 0 ? Value::Null() : Value::Double(80 + (i % 13) * 0.5),
+           i % 17 == 0 ? Value::Null() : Value::Int64(1000 + i * k)}));
+    }
+  }
+  return t;
+}
+
+// Block fetches of a file-backed reader take no lock: four threads
+// decoding every block range at once must each see exactly the rows a
+// one-threaded full decode sees.
+TEST(ShardedColumnarRead, FourThreadsOverEveryBlockRangeMatchReadTable) {
+  TempFile file("sharded_read.sqlc");
+  ColumnarWriterOptions opts;
+  opts.cluster_by = {"name"};
+  opts.sequence_by = {"date"};
+  ASSERT_TRUE(
+      ColumnarWriter::WriteFile(ManyBlockTable(), file.path(), opts).ok());
+  auto reader = ColumnarReader::Open(file.path());
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  auto full = (*reader)->ReadTable();
+  ASSERT_TRUE(full.ok()) << full.status();
+  const std::vector<RowBlockMeta>& blocks = (*reader)->footer().blocks;
+  const int num_blocks = static_cast<int>(blocks.size());
+  ASSERT_GE(num_blocks, 9);
+  std::vector<std::pair<int, int>> ranges;
+  for (int first = 0; first < num_blocks; ++first) {
+    for (int count = 1; first + count <= num_blocks; ++count) {
+      ranges.emplace_back(first, count);
+    }
+  }
+
+  std::atomic<int> failures{0};
+  std::atomic<int64_t> cells{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < 4; ++w) {
+    threads.emplace_back([&, w] {
+      for (size_t i = w; i < ranges.size(); i += 4) {
+        const auto [first, count] = ranges[i];
+        StatusOr<Table> part = (*reader)->ReadBlockRange(first, count);
+        if (!part.ok()) {
+          ++failures;
+          continue;
+        }
+        const int64_t row0 = blocks[first].start_row;
+        for (int64_t r = 0; r < part->num_rows(); ++r) {
+          for (int c = 0; c < part->schema().num_columns(); ++c) {
+            if (!part->at(r, c).StructurallyEquals(full->at(row0 + r, c))) {
+              ++failures;
+            }
+            ++cells;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  // Every range was decoded in full: sum over ranges of their rows.
+  int64_t want = 0;
+  for (const auto& [first, count] : ranges) {
+    want += blocks[first + count - 1].start_row +
+            blocks[first + count - 1].row_count - blocks[first].start_row;
+  }
+  EXPECT_EQ(cells.load(), want * full->schema().num_columns());
+}
+
+TEST(ColumnarReaderFile, TruncatedAfterOpenIsAShortBlockRead) {
+  TempFile file("truncated.sqlc");
+  ASSERT_TRUE(ColumnarWriter::WriteFile(ManyBlockTable(), file.path()).ok());
+  auto reader = ColumnarReader::Open(file.path());
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  ASSERT_TRUE((*reader)->ReadBlockRange(0, 1).ok());
+  // Cut the data region short under the open reader: the footer it
+  // already holds still points past the new end.
+  std::filesystem::resize_file(file.path(), kColumnarHeaderSize + 100);
+  auto back = (*reader)->ReadTable();
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.status().code(), StatusCode::kIoError) << back.status();
+  EXPECT_NE(back.status().message().find("short block read"),
+            std::string::npos)
+      << back.status();
+}
+
+/// A pread(2) that hands out at most 7 bytes a call and fails every
+/// other call with EINTR.
+int g_pread_calls = 0;
+ssize_t ChoppyPread(int fd, void* buf, size_t count, off_t offset) {
+  if (g_pread_calls++ % 2 == 0) {
+    errno = EINTR;
+    return -1;
+  }
+  return ::pread(fd, buf, std::min<size_t>(count, 7), offset);
+}
+
+ssize_t FailingPread(int, void*, size_t, off_t) {
+  errno = EIO;
+  return -1;
+}
+
+TEST(ColumnarReaderFile, PreadFullLoopsOnPartialReadsAndEintr) {
+  TempFile file("pread.bin");
+  std::string content;
+  for (int i = 0; i < 1000; ++i) content.push_back(static_cast<char>(i * 7));
+  std::ofstream(file.path(), std::ios::binary) << content;
+  const int fd = ::open(file.path().c_str(), O_RDONLY);
+  ASSERT_GE(fd, 0);
+
+  std::string buf(500, '\0');
+  g_pread_calls = 0;
+  auto got = PreadFull(fd, 100, buf.data(), buf.size(), ChoppyPread);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(*got, 500u);
+  EXPECT_EQ(buf, content.substr(100, 500));
+  EXPECT_GT(g_pread_calls, 2 * (500 / 7));  // it really was chopped
+
+  // The file ends first: the count says how much there was.
+  got = PreadFull(fd, 900, buf.data(), buf.size(), ChoppyPread);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(*got, 100u);
+  EXPECT_EQ(buf.substr(0, 100), content.substr(900));
+
+  got = PreadFull(fd, 0, buf.data(), buf.size(), FailingPread);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kIoError);
+  ::close(fd);
 }
 
 TEST(ColumnarLayout, ClusteredFileIsClusterMajorAndSorted) {

@@ -300,3 +300,86 @@ TEST(KernelBlocks, PartialLaneRangesCompose) {
 
 }  // namespace
 }  // namespace sqlts
+
+namespace sqlts {
+namespace {
+
+/// t(k INT64, i INT64, d DOUBLE, day DATE, b BOOL): every payload
+/// column nullable and about 40% NULL.
+Schema NullHeavySchema() {
+  Schema s;
+  SQLTS_CHECK_OK(s.AddColumn("k", TypeKind::kInt64));
+  SQLTS_CHECK_OK(s.AddColumn("i", TypeKind::kInt64, /*nullable=*/true));
+  SQLTS_CHECK_OK(s.AddColumn("d", TypeKind::kDouble, /*nullable=*/true));
+  SQLTS_CHECK_OK(s.AddColumn("day", TypeKind::kDate, /*nullable=*/true));
+  SQLTS_CHECK_OK(s.AddColumn("b", TypeKind::kBool, /*nullable=*/true));
+  return s;
+}
+
+Table NullHeavyTable(int rows, uint64_t seed) {
+  Table t(NullHeavySchema());
+  uint64_t x = seed;
+  auto next = [&x](int mod) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<int>((x >> 33) % mod);
+  };
+  auto maybe = [&](Value v) { return next(5) < 2 ? Value::Null() : v; };
+  for (int r = 0; r < rows; ++r) {
+    SQLTS_CHECK_OK(t.AppendRow(
+        {Value::Int64(r), maybe(Value::Int64(next(7) - 3)),
+         maybe(next(9) == 0 ? Value::Double(-0.0)
+                            : Value::Double((next(41) - 20) / 4.0)),
+         maybe(Value::FromDate(Date(10000 + next(5)))),
+         maybe(Value::Bool(next(2) == 1))}));
+  }
+  return t;
+}
+
+// With typed loads every non-NULL cell loads, so there is no lane the
+// kernel defers to the interpreter: its verdicts must equal the
+// interpreter's on their own, including at the edges of a sequence,
+// where navigation steps off the view onto NULL.
+TEST(KernelParity, NullHeavyTypedColumnsAtSequenceEdges) {
+  const Schema schema = NullHeavySchema();
+  const std::vector<std::string> wheres = {
+      "X.i > 0",
+      "X.i > X.previous.i",
+      "X.i + 1 >= X.previous.previous.i",
+      "X.d < X.previous.d",
+      "X.d <= 2 * X.previous.i",
+      "X.i > 0.5 * X.previous.d",
+      "X.d = 0",
+      "X.day > DATE '1997-05-20'",
+      "X.day - X.previous.day > 1",
+      "X.day + 1 = X.previous.day",
+      "X.b = TRUE",
+      "X.b <> X.previous.b",
+      "X.b OR X.previous.i < 0",
+      "NOT (X.d > 1) AND X.previous.day < X.day OR X.i = -1",
+  };
+  for (int rows : {1, 2, 63, 64, 65, 300}) {
+    const Table t = NullHeavyTable(rows, 7 + rows);
+    std::vector<int64_t> identity(rows), reversed(rows);
+    for (int r = 0; r < rows; ++r) {
+      identity[r] = r;
+      reversed[r] = rows - 1 - r;
+    }
+    // A view starting mid-table (a streaming cursor's floor): cells
+    // before its first position exist in the table but must read NULL.
+    const int64_t floor = rows / 3;
+    const std::vector<SequenceView> views = {
+        SequenceView(&t, identity), SequenceView(&t, reversed),
+        SequenceView(&t, &identity, floor)};
+    for (const std::string& where : wheres) {
+      const std::string query =
+          "SELECT X.k FROM t SEQUENCE BY k AS (X) WHERE " + where;
+      ExprPtr pred = ElementPredicate(query, 1, schema);
+      for (const SequenceView& view : views) {
+        ExpectParity(pred, view, schema);
+      }
+    }
+  }
+}
+
+}  // namespace
+}  // namespace sqlts

@@ -1,6 +1,7 @@
 // Table / CSV / ClusteredSequence tests.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -9,10 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include "colstore/reader.h"
+#include "colstore/writer.h"
+#include "engine/checkpoint.h"
 #include "storage/cluster_key.h"
 #include "storage/csv.h"
 #include "storage/sequence.h"
 #include "storage/table.h"
+#include "testing/data_gen.h"
 
 namespace sqlts {
 namespace {
@@ -555,6 +560,170 @@ TEST(ClusterKey, RowAndTableFormsAgree) {
   std::string from_table = "stale";
   EncodeClusterKey(t, 0, {1, 0}, &from_table);
   EXPECT_EQ(from_table, EncodeClusterKey(row, {1, 0}));
+}
+
+/// The fuzz schema plus a nullable BOOL column.
+Schema TypedSchema() {
+  Schema s = fuzz::FuzzSchema();
+  SQLTS_CHECK_OK(s.AddColumn("flag", TypeKind::kBool, /*nullable=*/true));
+  return s;
+}
+
+/// Rows of a random fuzz table, salted with the cells typed storage
+/// must keep exactly: NULLs, -0.0, NaN, INT64 cells bound for the
+/// DOUBLE column, and empty and repeated strings.
+std::vector<Row> TypedRows(uint64_t seed) {
+  fuzz::DataGenOptions gen;
+  gen.max_rows_per_cluster = 400;
+  gen.null_prob = 0.2;
+  const Table base = fuzz::RandomFuzzTable(seed, gen);
+  std::mt19937_64 rng(seed);
+  std::vector<Row> rows;
+  for (int64_t r = 0; r < base.num_rows(); ++r) {
+    Row row = base.GetRow(r);
+    switch (rng() % 8) {
+      case 0: row[4] = Value::Double(-0.0); break;
+      case 1: row[4] = Value::Double(std::nan("")); break;
+      case 2: row[4] = Value::Int64(static_cast<int64_t>(rng() % 100)); break;
+      case 3: row[0] = Value::String(""); break;
+      case 4: row[0] = Value::Null(); break;
+      default: break;
+    }
+    const uint64_t f = rng() % 3;
+    row.push_back(f == 2 ? Value::Null() : Value::Bool(f == 1));
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+/// Cell equality as typed storage promises it: same kind, and doubles
+/// bit for bit (so -0.0 is not 0.0 and NaN is NaN).
+bool SameCell(const Value& a, const Value& b) {
+  if (a.kind() != b.kind() || !a.StructurallyEquals(b)) return false;
+  const double* x = a.double_if();
+  return x == nullptr || std::bit_cast<uint64_t>(*x) ==
+                             std::bit_cast<uint64_t>(*b.double_if());
+}
+
+/// Rows [0, part.num_rows()) of `part` equal rows [row0, ...) of
+/// `whole`, by at() and by GetRow().
+void ExpectSameCells(const Table& whole, int64_t row0, const Table& part,
+                     const std::string& what) {
+  ASSERT_LE(row0 + part.num_rows(), whole.num_rows()) << what;
+  for (int64_t r = 0; r < part.num_rows(); ++r) {
+    const Row a = whole.GetRow(row0 + r);
+    const Row b = part.GetRow(r);
+    ASSERT_EQ(a.size(), b.size()) << what;
+    for (size_t c = 0; c < a.size(); ++c) {
+      ASSERT_TRUE(SameCell(a[c], b[c]))
+          << what << " row " << r << " col " << c << ": " << a[c] << " vs "
+          << b[c];
+      ASSERT_TRUE(SameCell(whole.at(row0 + r, static_cast<int>(c)),
+                           part.at(r, static_cast<int>(c))))
+          << what << " row " << r << " col " << c;
+    }
+  }
+}
+
+// One table built four ways must hold the same cells: row by row
+// (AppendRow), column by column (FromColumns), through a .sqlc file
+// (ReadTable), and piecewise through every block range of that file.
+TEST(TypedTable, FourConstructionsAgreeCellForCell) {
+  const Schema schema = TypedSchema();
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const std::vector<Row> rows = TypedRows(seed);
+
+    Table appended(schema);
+    for (const Row& row : rows) ASSERT_TRUE(appended.AppendRow(row).ok());
+
+    std::vector<Column> columns;
+    for (int c = 0; c < schema.num_columns(); ++c) {
+      columns.emplace_back(schema.column(c).type);
+      for (const Row& row : rows) columns.back().Append(row[c]);
+    }
+    auto adopted = Table::FromColumns(schema, std::move(columns));
+    ASSERT_TRUE(adopted.ok()) << adopted.status();
+
+    auto bytes = ColumnarWriter::WriteBytes(appended, {});
+    ASSERT_TRUE(bytes.ok()) << bytes.status();
+    auto reader = ColumnarReader::OpenBytes(std::move(*bytes));
+    ASSERT_TRUE(reader.ok()) << reader.status();
+    auto decoded = (*reader)->ReadTable();
+    ASSERT_TRUE(decoded.ok()) << decoded.status();
+
+    ASSERT_EQ(appended.num_rows(), static_cast<int64_t>(rows.size()));
+    ASSERT_EQ(adopted->num_rows(), appended.num_rows());
+    ASSERT_EQ(decoded->num_rows(), appended.num_rows());
+    ExpectSameCells(appended, 0, *adopted, "AppendRow vs FromColumns");
+    ExpectSameCells(appended, 0, *decoded, "AppendRow vs ReadTable");
+    ExpectSameCells(*adopted, 0, *decoded, "FromColumns vs ReadTable");
+
+    const std::vector<RowBlockMeta>& blocks = (*reader)->footer().blocks;
+    const int num_blocks = static_cast<int>(blocks.size());
+    for (int first = 0; first < num_blocks; ++first) {
+      for (int count = 1; first + count <= num_blocks; ++count) {
+        auto part = (*reader)->ReadBlockRange(first, count);
+        ASSERT_TRUE(part.ok()) << part.status();
+        const std::string what = "ReadBlockRange(" + std::to_string(first) +
+                                 ", " + std::to_string(count) + ")";
+        ExpectSameCells(appended, blocks[first].start_row, *part, what);
+        ExpectSameCells(*decoded, blocks[first].start_row, *part, what);
+      }
+    }
+
+    // Equal strings share one code, and distinct codes are distinct
+    // strings, in every construction.
+    for (const Table* t : {&appended, &*adopted, &*decoded}) {
+      const Column& sym = t->column(0);
+      std::map<std::string, int64_t> code_of;
+      for (int64_t r = 0; r < t->num_rows(); ++r) {
+        if (sym.is_null(r)) continue;
+        const auto [it, fresh] =
+            code_of.emplace(sym.string_at(r), sym.ints()[r]);
+        ASSERT_EQ(it->second, sym.ints()[r]) << "'" << it->first << "'";
+      }
+      EXPECT_EQ(static_cast<int64_t>(code_of.size()), sym.dict().size());
+    }
+  }
+}
+
+TEST(TypedTable, DropPrefixKeepsTheRestAndOnlyItsStrings) {
+  const Schema schema = TypedSchema();
+  std::vector<Row> rows = TypedRows(3);
+  ASSERT_GT(rows.size(), 200u);
+  // Strings of the first rows that no later row repeats: a dropped
+  // prefix takes them out of use.
+  for (int r = 0; r < 130; ++r) {
+    rows[r][0] = Value::String("gone" + std::to_string(r));
+  }
+  Table whole(schema);
+  for (const Row& row : rows) ASSERT_TRUE(whole.AppendRow(row).ok());
+  for (int64_t drop : {0, 1, 63, 64, 65, 130}) {
+    Table t = whole;
+    t.DropPrefix(drop);
+    ASSERT_EQ(t.num_rows(), whole.num_rows() - drop);
+    ExpectSameCells(whole, drop, t, "drop " + std::to_string(drop));
+    std::map<std::string, int> live;
+    for (int64_t r = 0; r < t.num_rows(); ++r) {
+      if (!t.column(0).is_null(r)) ++live[t.column(0).string_at(r)];
+    }
+    EXPECT_EQ(t.column(0).dict().size(), static_cast<int64_t>(live.size()));
+  }
+}
+
+TEST(TypedTable, CheckpointRowsFromSlotsMatchBoxedRows) {
+  const Schema schema = TypedSchema();
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    Table t(schema);
+    for (const Row& row : TypedRows(seed)) ASSERT_TRUE(t.AppendRow(row).ok());
+    CheckpointWriter typed, boxed;
+    for (int64_t r = 0; r < t.num_rows(); ++r) {
+      typed.WriteRow(t, r);
+      boxed.WriteRow(t.GetRow(r));
+    }
+    EXPECT_EQ(typed.payload(), boxed.payload()) << "seed " << seed;
+  }
 }
 
 }  // namespace

@@ -194,5 +194,41 @@ TEST(Stream, BoundedMemoryOnLongStream) {
   EXPECT_LT(max_buffered, 10000);
 }
 
+TEST(Stream, EvictionKeepsDictionaryWithinLiveRows) {
+  // 120k tuples, each with a name never seen before, under a pattern
+  // whose attempts are two tuples long.  Eviction must drop the dead
+  // names from the buffer's dictionary, not only the dead rows; and the
+  // names the matches project must survive the re-coding.
+  PatternPlan plan = MustPlan(
+      "SELECT X.name FROM quote SEQUENCE BY date AS (X, Y) "
+      "WHERE Y.price > X.price");
+  int64_t matches = 0, wrong_names = 0, worst_excess = 0;
+  auto m = OpsStreamMatcher::Create(
+      &plan, QuoteSchema(),
+      [&](const Match& match, const SequenceView& view, int64_t base) {
+        ++matches;
+        const Value name = view.at(match.first() - base, 0);
+        if (name.string_value() != "N" + std::to_string(match.first())) {
+          ++wrong_names;
+        }
+      });
+  ASSERT_TRUE(m.ok()) << m.status();
+  Date d(10000);
+  for (int i = 0; i < 120000; ++i) {
+    // A rise every third tuple: a match, then a fresh attempt.
+    const double price = i % 3 == 2 ? 50.0 : 40.0 - (i % 3);
+    ASSERT_TRUE(m->Push({Value::String("N" + std::to_string(i)),
+                         Value::FromDate(d), Value::Double(price)})
+                    .ok());
+    d = d.AddDays(1);
+    const int64_t entries = m->buffer().column(0).dict().size();
+    worst_excess = std::max(worst_excess, entries - m->buffered());
+  }
+  EXPECT_GT(matches, 30000);
+  EXPECT_EQ(wrong_names, 0);
+  EXPECT_LE(worst_excess, 0);
+  EXPECT_LT(m->peak_buffered(), 10000);  // evictions happened
+}
+
 }  // namespace
 }  // namespace sqlts
