@@ -3,7 +3,9 @@
 
 #include <cstdio>
 #include <string>
+#include <thread>
 
+#include "bench_provenance.h"
 #include "engine/executor.h"
 #include "workload/generators.h"
 
@@ -55,6 +57,17 @@ inline void PrintComparisonRow(const char* label, const Comparison& c) {
               label, static_cast<long long>(c.matches),
               static_cast<long long>(c.naive_evals),
               static_cast<long long>(c.ops_evals), c.speedup());
+}
+
+/// Provenance fields for a BENCH_*.json object, without the braces:
+/// the source commit (`git describe --always --dirty` when the bench
+/// was built, see bench/provenance.cmake; a "-dirty" suffix means
+/// uncommitted changes on top of that commit), the CMake build type and
+/// the processors available.
+inline std::string ProvenanceJson() {
+  return std::string("\"commit\": \"") + SQLTS_SOURCE_COMMIT +
+         "\", \"build_type\": \"" + SQLTS_BUILD_TYPE + "\", \"nproc\": " +
+         std::to_string(std::thread::hardware_concurrency());
 }
 
 }  // namespace bench_util

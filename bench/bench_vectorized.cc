@@ -11,7 +11,8 @@
 //    must return identical matches (parity re-checked here, not just
 //    in tests).
 //
-// Usage: bench_vectorized [out.json]   (JSON also printed to stdout)
+// Usage: bench_vectorized [out.json]   (JSON also printed to stdout;
+// it records the commit, build type and processor count it ran on)
 
 #include <chrono>
 #include <cstdio>
@@ -180,6 +181,7 @@ int main(int argc, char** argv) {
 
   std::ostringstream json;
   json << "{\n  \"bench\": \"vectorized\",\n"
+       << "  " << ProvenanceJson() << ",\n"
        << "  \"days\": " << days << ",\n"
        << "  \"conjuncts_total\": " << total_conjuncts << ",\n"
        << "  \"conjuncts_vectorized\": " << conjuncts.size() << ",\n"

@@ -79,12 +79,13 @@ bool SharedClusterCache::Test(int pred_id, const EvalContext& ctx,
     const int64_t n = std::min<int64_t>(
         std::min<int64_t>(kKernelBlock, window_),
         ctx.seq->size() - ctx.pos);
-    TriMask mask;
-    pred.kernel->Eval(*ctx.seq, ctx.pos, n, &scratch_, &mask);
+    BlockVerdict verdict;  // n <= kKernelBlock: one block, no heap
+    pred.kernel->EvalBlock(*ctx.seq, ctx.pos, 0, static_cast<int>(n),
+                           &scratch_, &verdict);
     for (int64_t i = 0; i < n; ++i) {
       Slot& s = ring[(abs_pos + i) % window_];
       if (i != 0 && s.holds(abs_pos + i)) continue;  // keep cached slots
-      s.Set(abs_pos + i, mask.True(i), false);
+      s.Set(abs_pos + i, verdict.True(static_cast<int>(i)), false);
       if (s.val()) seed_implied(abs_pos + i);
     }
     return ring[abs_pos % window_].val();

@@ -35,8 +35,8 @@ class VectorizedPlanEval {
  public:
   /// Compiles kernels for `plan` over `schema`.  Returns nullptr when
   /// no element has a vectorizable conjunct (callers then skip the
-  /// tier entirely).  Identical conjuncts (within and across elements)
-  /// share one kernel and one verdict cache.
+  /// tier entirely).  Conjuncts with one PredicateFingerprint (within
+  /// and across elements) share one kernel and one verdict cache.
   static std::unique_ptr<VectorizedPlanEval> Create(const PatternPlan& plan,
                                                     const Schema& schema);
 
@@ -45,6 +45,9 @@ class VectorizedPlanEval {
   /// One evaluator per matcher (single-threaded use); this factory
   /// object is immutable and safe to call from concurrent shards.
   std::unique_ptr<ElementEvaluator> MakeEvaluator() const;
+
+  /// Distinct kernels compiled (one per verdict cache).
+  int num_kernels() const { return num_slots_; }
 
  private:
   friend class VectorizedElementEvaluator;

@@ -7,6 +7,7 @@
 
 #include "common/logging.h"
 #include "expr/eval.h"
+#include "expr/kernel_lanes.h"
 #include "types/numeric_ops.h"
 
 namespace sqlts {
@@ -38,7 +39,9 @@ struct RunCtx {
   int64_t pos0;
   int lane0, lane1;  // active lanes [lane0, lane1)
   int w0, w1;        // words overlapping the active lanes
+  uint64_t range[kKernelWords];  // the active lanes' bits
   LaneBuf* bufs;
+  LaneBuf* tmp;  // a fused compare's gathered left operand
 };
 
 inline void SetBit(uint64_t* words, int l) {
@@ -53,74 +56,174 @@ inline void FillRange(uint64_t* words, const RunCtx& ctx) {
   for (int w = ctx.w0; w < ctx.w1; ++w) words[w] = ~uint64_t{0};
 }
 
-/// Canonical boolean masks: a lane's true bit is only meaningful (and
-/// only set) when its null bit is clear — every bool-producing node
-/// re-establishes this, so word-parallel Kleene algebra stays exact.
-inline void Canonicalize(LaneBuf* b, const RunCtx& ctx) {
-  for (int w = ctx.w0; w < ctx.w1; ++w) b->true_bits[w] &= ~b->null_bits[w];
-}
-
-inline bool CmpHolds(CmpOp op, int c) {
-  switch (op) {
-    case CmpOp::kEq:
-      return c == 0;
-    case CmpOp::kNe:
-      return c != 0;
-    case CmpOp::kLt:
-      return c < 0;
-    case CmpOp::kLe:
-      return c <= 0;
-    case CmpOp::kGt:
-      return c > 0;
-    case CmpOp::kGe:
-      return c >= 0;
-  }
-  return false;
-}
-
 /// Numeric lane read mirroring Value::AsDouble's int64 widening.
 inline double LaneF64(const LaneBuf& b, VType t, int l) {
   return t == VType::kF64 ? b.f64[l] : static_cast<double>(b.i64[l]);
 }
 
-/// Hoisted raw access to one typed column of the view's table: the
-/// pointer chases and bounds checks behind SequenceView::at cost more
-/// than the comparison itself when paid per cell, so each node hoists
-/// a cursor once per block and lanes pay one range check, a null-bit
-/// test and a typed load.
-///
-/// Load semantics match the interpreter exactly: out-of-range
-/// positions are NULL (navigation off the sequence) and NULL cells are
-/// NULL.  A lane's type comes from the schema, which also fixes the
-/// column's slots, so a non-NULL cell always loads.
-struct ColCursor {
-  const int64_t* ints;
-  const double* doubles;
-  const uint64_t* nulls;
-  const int64_t* rows;
-  int64_t n;
-
-  ColCursor(const SequenceView& seq, int col)
-      : ints(seq.table().column(col).ints()),
-        doubles(seq.table().column(col).doubles()),
-        nulls(seq.table().column(col).null_words()),
-        rows(seq.row_data()),
-        n(seq.size()) {}
-
-  /// False for NULL; otherwise the cell is in *f64v (kF64 lanes) or
-  /// *i64v (every other lane type: value, day number or 0/1).
-  bool Load(int64_t p, VType t, int64_t* i64v, double* f64v) const {
-    if (p < 0 || p >= n) return false;
-    const int64_t r = rows[p];
-    if ((nulls[r >> 6] >> (r & 63)) & 1) return false;
-    if (t == VType::kF64) {
-      *f64v = doubles[r];
-    } else {
-      *i64v = ints[r];
-    }
-    return true;
-  }
+/// The active lanes of one operand: lane l's value is at [l - lane0]
+/// of the one pointer its type uses.
+struct Lanes {
+  const int64_t* i = nullptr;  // every lane type but kF64
+  const double* f = nullptr;   // kF64
 };
+
+Lanes LanesOf(const LaneBuf& b, VType t, int lane0) {
+  Lanes out;
+  if (t == VType::kF64) {
+    out.f = b.f64 + lane0;
+  } else {
+    out.i = b.i64 + lane0;
+  }
+  return out;
+}
+
+/// True when no bit in [r0, r1) of a null bitmap is set (r0 < r1).
+bool NullFree(const uint64_t* words, int64_t r0, int64_t r1) {
+  const int64_t first = r0 >> 6, last = (r1 - 1) >> 6;
+  const uint64_t head = ~uint64_t{0} << (r0 & 63);
+  const uint64_t tail = ~uint64_t{0} >> (63 - ((r1 - 1) & 63));
+  if (first == last) return (words[first] & head & tail) == 0;
+  if ((words[first] & head) != 0) return false;
+  for (int64_t k = first + 1; k < last; ++k) {
+    if (words[k] != 0) return false;
+  }
+  return (words[last] & tail) == 0;
+}
+
+template <typename T>
+const T* Slots(const Column& c);
+template <>
+const int64_t* Slots<int64_t>(const Column& c) {
+  return c.ints();
+}
+template <>
+const double* Slots<double>(const Column& c) {
+  return c.doubles();
+}
+
+/// Reads the active lanes of one (column, relative offset) operand,
+/// with the interpreter's load semantics: a position off the view is
+/// NULL and a NULL cell is NULL.  NULL lanes are ORed into `nulls`.
+///
+/// Dense path: when the view is contiguous, every lane's position is
+/// inside it and the null bitmap is clear over the lanes' row run, the
+/// lanes are that run of the column array itself — no copy, no row
+/// gather, no NULL lane.  Otherwise the lanes are gathered through the
+/// row index into `buf`; a NULL lane (off the view or a NULL cell)
+/// holds 0.  The gather branches per lane on its range and null tests:
+/// on NULL-free data that is cheaper than a branch-free select, which
+/// only pays off when NULLs are dense and scattered (docs/VECTORIZED.md
+/// §4).
+template <typename T>
+const T* LoadTyped(const RunCtx& ctx, int col, int off, T* buf,
+                   uint64_t* nulls) {
+  const SequenceView& seq = *ctx.seq;
+  const Column& column = seq.table().column(col);
+  const T* slots = Slots<T>(column);
+  const uint64_t* null_words = column.null_words();
+  const int64_t n = seq.size();
+  const int64_t p0 = ctx.pos0 + ctx.lane0 + off;
+  const int64_t p1 = ctx.pos0 + ctx.lane1 + off;
+  if (seq.contiguous() && p0 >= 0 && p1 <= n) {
+    const int64_t r0 = seq.row_index(0) + p0;
+    if (NullFree(null_words, r0, r0 + (p1 - p0))) return slots + r0;
+  }
+  const int64_t* rows = seq.row_data();
+  for (int w = ctx.w0; w < ctx.w1; ++w) {
+    const int hi = kernel_lanes::WordHi(ctx.lane1, w);
+    uint64_t null_word = 0;
+    for (int l = kernel_lanes::WordLo(ctx.lane0, w); l < hi; ++l) {
+      const int64_t p = ctx.pos0 + l + off;
+      if (p >= 0 && p < n) {
+        const int64_t r = rows[p];
+        if (((null_words[r >> 6] >> (r & 63)) & 1) == 0) {
+          buf[l] = slots[r];
+          continue;
+        }
+      }
+      buf[l] = T{};
+      null_word |= uint64_t{1} << (l & 63);
+    }
+    nulls[w] |= null_word;
+  }
+  return buf + ctx.lane0;
+}
+
+Lanes LoadLanes(const RunCtx& ctx, int col, int off, VType t, LaneBuf* buf,
+                uint64_t* nulls) {
+  Lanes out;
+  if (t == VType::kF64) {
+    out.f = LoadTyped<double>(ctx, col, off, buf->f64, nulls);
+  } else {
+    out.i = LoadTyped<int64_t>(ctx, col, off, buf->i64, nulls);
+  }
+  return out;
+}
+
+inline int Cmp3(int64_t x, int64_t y) { return (x > y) - (x < y); }
+inline int Cmp3(double x, int64_t y) { return num::CompareF64I64(x, y); }
+inline int Cmp3(int64_t x, double y) { return num::CompareI64F64(x, y); }
+
+/// kernel_lanes::CmpF64's contract for the int64 lane pairs, through
+/// the exact comparisons of types/numeric_ops.h; with kScalarRhs the
+/// right side is `lit` (b is unused).
+template <typename A, typename B, bool kScalarRhs>
+void CmpExact(const A* a, const B* b, B lit, int lane0, int lane1,
+              uint64_t* lt, uint64_t* gt) {
+  for (int w = lane0 >> 6; w < (lane1 + 63) >> 6; ++w) {
+    const int hi = kernel_lanes::WordHi(lane1, w);
+    uint64_t below = 0, above = 0;
+    for (int l = kernel_lanes::WordLo(lane0, w); l < hi; ++l) {
+      const int c = Cmp3(a[l - lane0], kScalarRhs ? lit : b[l - lane0]);
+      below |= static_cast<uint64_t>(c < 0) << (l & 63);
+      above |= static_cast<uint64_t>(c > 0) << (l & 63);
+    }
+    lt[w] = below;
+    gt[w] = above;
+  }
+}
+
+/// Three-way lane comparison of two operands of any numeric or date
+/// lane types (dates compare as day numbers).
+void CompareLanes(const Lanes& a, const Lanes& b, const RunCtx& ctx,
+                  uint64_t* lt, uint64_t* gt) {
+  const int lane0 = ctx.lane0, lane1 = ctx.lane1;
+  if (a.f != nullptr && b.f != nullptr) {
+    // 1.0 * x is x exactly, NaN included.
+    kernel_lanes::CmpF64(a.f, b.f, 1.0, lane0, lane1, lt, gt);
+  } else if (a.f != nullptr) {
+    CmpExact<double, int64_t, false>(a.f, b.i, 0, lane0, lane1, lt, gt);
+  } else if (b.f != nullptr) {
+    CmpExact<int64_t, double, false>(a.i, b.f, 0, lane0, lane1, lt, gt);
+  } else {
+    CmpExact<int64_t, int64_t, false>(a.i, b.i, 0, lane0, lane1, lt, gt);
+  }
+}
+
+/// A comparison node's masks from its three-way lane results: TRUE
+/// where `op` holds on a non-NULL active lane, NULL where an operand
+/// was NULL.  Canonical, like every bool-producing node's: a lane's
+/// true bit is only set when its null bit is clear, so word-parallel
+/// Kleene algebra stays exact.
+void WriteVerdict(CmpOp op, const uint64_t* lt, const uint64_t* gt,
+                  const uint64_t* nulls, const RunCtx& ctx, LaneBuf* o) {
+  const uint64_t want_lt =
+      op == CmpOp::kLt || op == CmpOp::kLe || op == CmpOp::kNe ? ~uint64_t{0}
+                                                                : 0;
+  const uint64_t want_eq =
+      op == CmpOp::kEq || op == CmpOp::kLe || op == CmpOp::kGe ? ~uint64_t{0}
+                                                                : 0;
+  const uint64_t want_gt =
+      op == CmpOp::kGt || op == CmpOp::kGe || op == CmpOp::kNe ? ~uint64_t{0}
+                                                                : 0;
+  for (int w = ctx.w0; w < ctx.w1; ++w) {
+    const uint64_t holds = (lt[w] & want_lt) | (gt[w] & want_gt) |
+                           (~(lt[w] | gt[w]) & want_eq);
+    o->null_bits[w] = nulls[w] & ctx.range[w];
+    o->true_bits[w] = holds & ~nulls[w] & ctx.range[w];
+  }
+}
 
 }  // namespace
 
@@ -205,9 +308,9 @@ struct ConstNode : Node {
   const Value* AsConst() const override { return &value; }
 };
 
-/// Columnar extraction: gathers one (column, relative offset) stream
+/// Columnar extraction: loads one (column, relative offset) stream
 /// into raw lanes.  Shared (memoized) across every use site in the
-/// predicate, so each cell is unboxed once per block.
+/// predicate, so each cell is loaded once per block.
 struct LoadNode : Node {
   int col;
   int off;
@@ -216,20 +319,24 @@ struct LoadNode : Node {
   void Run(RunCtx* ctx) const override {
     LaneBuf& o = ctx->bufs[out];
     ZeroRange(o.null_bits, *ctx);
-    if (type == VType::kBool) ZeroRange(o.true_bits, *ctx);
-    const ColCursor cur(*ctx->seq, col);
-    for (int l = ctx->lane0; l < ctx->lane1; ++l) {
-      int64_t iv = 0;
-      double fv = 0;
-      if (!cur.Load(ctx->pos0 + l + off, type, &iv, &fv)) {
-        SetBit(o.null_bits, l);
-      } else if (type == VType::kF64) {
-        o.f64[l] = fv;
-      } else if (type == VType::kBool) {
-        if (iv != 0) SetBit(o.true_bits, l);
-      } else {
-        o.i64[l] = iv;
+    const int lanes = ctx->lane1 - ctx->lane0;
+    if (type == VType::kF64) {
+      double* dst = o.f64 + ctx->lane0;
+      const double* v = LoadTyped<double>(*ctx, col, off, o.f64, o.null_bits);
+      if (v != dst) std::copy(v, v + lanes, dst);
+      return;
+    }
+    int64_t* dst = o.i64 + ctx->lane0;
+    const int64_t* v = LoadTyped<int64_t>(*ctx, col, off, o.i64, o.null_bits);
+    if (v != dst) std::copy(v, v + lanes, dst);
+    if (type != VType::kBool) return;
+    for (int w = ctx->w0; w < ctx->w1; ++w) {
+      const int hi = kernel_lanes::WordHi(ctx->lane1, w);
+      uint64_t t = 0;
+      for (int l = kernel_lanes::WordLo(ctx->lane0, w); l < hi; ++l) {
+        t |= static_cast<uint64_t>(o.i64[l] != 0) << (l & 63);
       }
+      o.true_bits[w] = t & ~o.null_bits[w];
     }
   }
 };
@@ -390,25 +497,13 @@ struct CmpNode : Node {
   void Run(RunCtx* ctx) const override {
     const LaneBuf& A = ctx->bufs[a];
     const LaneBuf& B = ctx->bufs[b];
-    LaneBuf& o = ctx->bufs[out];
+    uint64_t lt[kKernelWords], gt[kKernelWords], nulls[kKernelWords];
     for (int w = ctx->w0; w < ctx->w1; ++w) {
-      o.null_bits[w] = A.null_bits[w] | B.null_bits[w];
+      nulls[w] = A.null_bits[w] | B.null_bits[w];
     }
-    ZeroRange(o.true_bits, *ctx);
-    for (int l = ctx->lane0; l < ctx->lane1; ++l) {
-      int c;
-      if (ta == VType::kF64) {
-        c = tb == VType::kF64 ? num::CompareF64(A.f64[l], B.f64[l])
-                              : num::CompareF64I64(A.f64[l], B.i64[l]);
-      } else if (tb == VType::kF64) {
-        c = num::CompareI64F64(A.i64[l], B.f64[l]);
-      } else {
-        // int64 vs int64, or date vs date (day numbers).
-        c = A.i64[l] < B.i64[l] ? -1 : (A.i64[l] > B.i64[l] ? 1 : 0);
-      }
-      if (CmpHolds(op, c)) SetBit(o.true_bits, l);
-    }
-    Canonicalize(&o, *ctx);
+    CompareLanes(LanesOf(A, ta, ctx->lane0), LanesOf(B, tb, ctx->lane0), *ctx,
+                 lt, gt);
+    WriteVerdict(op, lt, gt, nulls, *ctx, &ctx->bufs[out]);
   }
 };
 
@@ -501,49 +596,47 @@ struct NotNode : Node {
   }
 };
 
-/// Fused fast path: column CMP literal in a single gather+compare
-/// loop.  Covers the catalogs' most common conjunct shape
-/// (X.price > 100, X.date <= DATE '...').
+/// Fused fast path: column CMP literal in one load + compare pass.
+/// Covers the catalogs' most common conjunct shape (X.price > 100,
+/// X.date <= DATE '...').  A DOUBLE column against a literal that is a
+/// double, or an int64 below 2^53 in magnitude (exact as a double),
+/// compares in kernel_lanes::CmpF64; every other pair through the
+/// exact int64/double comparisons.
 struct ColCmpLitNode : Node {
   int col, off;
   VType ct;  // column lane type
   CmpOp op;
-  Value lit;
+  bool lit_f64;   // the literal is a DOUBLE
+  bool cmp_f64;   // compare in the double domain
+  double lf;      // the literal as a double (exact when cmp_f64)
+  int64_t li;     // an INT64 literal, a DATE's day number or BOOL 0/1
 
-  ColCmpLitNode(int c, int o, VType t, CmpOp p, Value v)
-      : col(c), off(o), ct(t), op(p), lit(std::move(v)) {
+  ColCmpLitNode(int c, int o, VType t, CmpOp p, const Value& v)
+      : col(c), off(o), ct(t), op(p) {
     type = VType::kBool;
+    lit_f64 = v.kind() == TypeKind::kDouble;
+    li = v.kind() == TypeKind::kInt64  ? v.int64_value()
+         : v.kind() == TypeKind::kDate ? v.date_value().days_since_epoch()
+         : v.kind() == TypeKind::kBool ? (v.bool_value() ? 1 : 0)
+                                       : 0;
+    constexpr int64_t kTwo53 = int64_t{1} << 53;
+    lf = lit_f64 ? v.double_value() : static_cast<double>(li);
+    cmp_f64 = ct == VType::kF64 && (lit_f64 || (li > -kTwo53 && li < kTwo53));
   }
   void Run(RunCtx* ctx) const override {
-    LaneBuf& o = ctx->bufs[out];
-    ZeroRange(o.null_bits, *ctx);
-    ZeroRange(o.true_bits, *ctx);
-    const ColCursor cur(*ctx->seq, col);
-    const bool lit_f64 = lit.kind() == TypeKind::kDouble;
-    const double lf = lit_f64 ? lit.double_value() : 0;
-    const int64_t li = lit.kind() == TypeKind::kInt64 ? lit.int64_value()
-                       : lit.kind() == TypeKind::kDate
-                           ? lit.date_value().days_since_epoch()
-                       : lit.kind() == TypeKind::kBool
-                           ? (lit.bool_value() ? 1 : 0)
-                           : 0;
-    for (int l = ctx->lane0; l < ctx->lane1; ++l) {
-      int64_t iv = 0;
-      double fv = 0;
-      if (!cur.Load(ctx->pos0 + l + off, ct, &iv, &fv)) {
-        SetBit(o.null_bits, l);
-        continue;
-      }
-      int c;
-      if (ct == VType::kF64) {
-        c = lit_f64 ? num::CompareF64(fv, lf) : num::CompareF64I64(fv, li);
-      } else if (lit_f64) {
-        c = num::CompareI64F64(iv, lf);
-      } else {
-        c = iv < li ? -1 : (iv > li ? 1 : 0);
-      }
-      if (CmpHolds(op, c)) SetBit(o.true_bits, l);
+    const int lane0 = ctx->lane0, lane1 = ctx->lane1;
+    uint64_t lt[kKernelWords], gt[kKernelWords], nulls[kKernelWords] = {};
+    const Lanes a = LoadLanes(*ctx, col, off, ct, ctx->tmp, nulls);
+    if (cmp_f64) {
+      kernel_lanes::CmpF64(a.f, nullptr, lf, lane0, lane1, lt, gt);
+    } else if (ct == VType::kF64) {
+      CmpExact<double, int64_t, true>(a.f, nullptr, li, lane0, lane1, lt, gt);
+    } else if (lit_f64) {
+      CmpExact<int64_t, double, true>(a.i, nullptr, lf, lane0, lane1, lt, gt);
+    } else {
+      CmpExact<int64_t, int64_t, true>(a.i, nullptr, li, lane0, lane1, lt, gt);
     }
+    WriteVerdict(op, lt, gt, nulls, *ctx, &ctx->bufs[out]);
   }
 };
 
@@ -563,29 +656,11 @@ struct ColCmpColNode : Node {
   }
   void Run(RunCtx* ctx) const override {
     LaneBuf& o = ctx->bufs[out];
-    ZeroRange(o.null_bits, *ctx);
-    ZeroRange(o.true_bits, *ctx);
-    const ColCursor cura(*ctx->seq, cola);
-    const ColCursor curb(*ctx->seq, colb);
-    for (int l = ctx->lane0; l < ctx->lane1; ++l) {
-      int64_t ia = 0, ib = 0;
-      double fa = 0, fb = 0;
-      if (!cura.Load(ctx->pos0 + l + offa, ta, &ia, &fa) ||
-          !curb.Load(ctx->pos0 + l + offb, tb, &ib, &fb)) {
-        SetBit(o.null_bits, l);
-        continue;
-      }
-      int c;
-      if (ta == VType::kF64) {
-        c = tb == VType::kF64 ? num::CompareF64(fa, fb)
-                              : num::CompareF64I64(fa, ib);
-      } else if (tb == VType::kF64) {
-        c = num::CompareI64F64(ia, fb);
-      } else {
-        c = ia < ib ? -1 : (ia > ib ? 1 : 0);
-      }
-      if (CmpHolds(op, c)) SetBit(o.true_bits, l);
-    }
+    uint64_t lt[kKernelWords], gt[kKernelWords], nulls[kKernelWords] = {};
+    const Lanes a = LoadLanes(*ctx, cola, offa, ta, ctx->tmp, nulls);
+    const Lanes b = LoadLanes(*ctx, colb, offb, tb, &o, nulls);
+    CompareLanes(a, b, *ctx, lt, gt);
+    WriteVerdict(op, lt, gt, nulls, *ctx, &o);
   }
 };
 
@@ -593,63 +668,62 @@ struct ColCmpColNode : Node {
 /// such as Y.price < 0.98 * X.previous.price.  Mirrors EvalArith's
 /// type rules exactly: int64 literal * int64 column is checked int64
 /// multiplication (overflow -> NULL); any double operand moves the
-/// product to the double domain.
+/// product to the double domain.  Two DOUBLE columns multiply and
+/// compare in one kernel_lanes::CmpF64 pass.
 struct ColCmpScaledColNode : Node {
   int cola, offa;
   VType ta;
-  Value lit;
   int colb, offb;
   VType tb;
   CmpOp op;
+  bool int_mul;  // checked int64 product
+  double lf;     // the literal in the double domain
+  int64_t li;    // the literal of an int64 product
 
-  ColCmpScaledColNode(int ca, int oa, VType xa, Value v, int cb, int ob,
-                      VType xb, CmpOp p)
-      : cola(ca),
-        offa(oa),
-        ta(xa),
-        lit(std::move(v)),
-        colb(cb),
-        offb(ob),
-        tb(xb),
-        op(p) {
+  ColCmpScaledColNode(int ca, int oa, VType xa, const Value& v, int cb,
+                      int ob, VType xb, CmpOp p)
+      : cola(ca), offa(oa), ta(xa), colb(cb), offb(ob), tb(xb), op(p) {
     type = VType::kBool;
+    int_mul = v.kind() == TypeKind::kInt64 && tb == VType::kI64;
+    lf = v.kind() == TypeKind::kDouble ? v.double_value()
+                                       : static_cast<double>(v.int64_value());
+    li = v.kind() == TypeKind::kInt64 ? v.int64_value() : 0;
   }
   void Run(RunCtx* ctx) const override {
     LaneBuf& o = ctx->bufs[out];
-    ZeroRange(o.null_bits, *ctx);
-    ZeroRange(o.true_bits, *ctx);
-    const ColCursor cura(*ctx->seq, cola);
-    const ColCursor curb(*ctx->seq, colb);
-    const bool int_mul =
-        lit.kind() == TypeKind::kInt64 && tb == VType::kI64;
-    const double lf = lit.kind() == TypeKind::kDouble
-                          ? lit.double_value()
-                          : static_cast<double>(lit.int64_value());
-    const int64_t li = lit.kind() == TypeKind::kInt64 ? lit.int64_value() : 0;
-    for (int l = ctx->lane0; l < ctx->lane1; ++l) {
-      int64_t ia = 0, ib = 0;
-      double fa = 0, fb = 0;
-      if (!cura.Load(ctx->pos0 + l + offa, ta, &ia, &fa) ||
-          !curb.Load(ctx->pos0 + l + offb, tb, &ib, &fb)) {
-        SetBit(o.null_bits, l);
-        continue;
-      }
-      int c;
-      if (int_mul) {
-        int64_t m;
-        if (!num::MulI64(li, ib, &m)) {
-          SetBit(o.null_bits, l);
-          continue;
-        }
-        c = ta == VType::kI64 ? (ia < m ? -1 : (ia > m ? 1 : 0))
-                              : num::CompareF64I64(fa, m);
-      } else {
-        double m = lf * (tb == VType::kF64 ? fb : static_cast<double>(ib));
-        c = ta == VType::kI64 ? num::CompareI64F64(ia, m)
-                              : num::CompareF64(fa, m);
-      }
-      if (CmpHolds(op, c)) SetBit(o.true_bits, l);
+    const int lane0 = ctx->lane0, lane1 = ctx->lane1;
+    uint64_t lt[kKernelWords], gt[kKernelWords], nulls[kKernelWords] = {};
+    const Lanes a = LoadLanes(*ctx, cola, offa, ta, ctx->tmp, nulls);
+    const Lanes b = LoadLanes(*ctx, colb, offb, tb, &o, nulls);
+    if (!int_mul && a.f != nullptr && b.f != nullptr) {
+      kernel_lanes::CmpF64(a.f, b.f, lf, lane0, lane1, lt, gt);
+      WriteVerdict(op, lt, gt, nulls, *ctx, &o);
+      return;
     }
+    // The product into this node's own lanes (in place when b was
+    // gathered there), then an exact compare.
+    Lanes m;
+    if (int_mul) {
+      for (int w = ctx->w0; w < ctx->w1; ++w) {
+        const int hi = kernel_lanes::WordHi(lane1, w);
+        uint64_t overflow = 0;
+        for (int l = kernel_lanes::WordLo(lane0, w); l < hi; ++l) {
+          overflow |= static_cast<uint64_t>(
+                          !num::MulI64(li, b.i[l - lane0], &o.i64[l]))
+                      << (l & 63);
+        }
+        nulls[w] |= overflow;
+      }
+      m.i = o.i64 + lane0;
+    } else {
+      for (int l = lane0; l < lane1; ++l) {
+        o.f64[l] = lf * (b.f != nullptr ? b.f[l - lane0]
+                                        : static_cast<double>(b.i[l - lane0]));
+      }
+      m.f = o.f64 + lane0;
+    }
+    CompareLanes(a, m, *ctx, lt, gt);
+    WriteVerdict(op, lt, gt, nulls, *ctx, &o);
   }
 };
 
@@ -997,20 +1071,26 @@ void PredicateKernel::EvalBlock(const SequenceView& seq, int64_t pos0,
   ctx.lane1 = lane1;
   ctx.w0 = lane0 >> 6;
   ctx.w1 = (lane1 + 63) >> 6;
-  ctx.bufs = scratch->Prepare(static_cast<int>(nodes_.size()));
+  const int num_nodes = static_cast<int>(nodes_.size());
+  ctx.bufs = scratch->Prepare(num_nodes + 1);
+  ctx.tmp = &ctx.bufs[num_nodes];
   for (int w = 0; w < kKernelWords; ++w) {
     out->true_bits[w] = 0;
     out->null_bits[w] = 0;
+    ctx.range[w] = 0;
   }
   if (lane0 >= lane1) return;
+  for (int w = ctx.w0; w < ctx.w1; ++w) {
+    ctx.range[w] = kernel_lanes::BitRange(
+        kernel_lanes::WordLo(lane0, w) - w * 64,
+        kernel_lanes::WordHi(lane1, w) - w * 64);
+  }
   for (const auto& node : nodes_) node->Run(&ctx);
 
-  uint64_t range[kKernelWords] = {0, 0, 0, 0};
-  for (int l = lane0; l < lane1; ++l) kernel_internal::SetBit(range, l);
   const LaneBuf& r = ctx.bufs[root_];
   for (int w = ctx.w0; w < ctx.w1; ++w) {
-    out->null_bits[w] = r.null_bits[w] & range[w];
-    out->true_bits[w] = r.true_bits[w] & ~r.null_bits[w] & range[w];
+    out->null_bits[w] = r.null_bits[w] & ctx.range[w];
+    out->true_bits[w] = r.true_bits[w] & ~r.null_bits[w] & ctx.range[w];
   }
 }
 

@@ -120,15 +120,21 @@ StatusOr<ClusteredSequence> ClusteredSequence::Build(
 
   // Each group holds its rows in input order, which usually is already
   // SEQUENCE BY order: one linear check, and a stable sort only when it
-  // fails.
+  // fails.  A group that needs no sort holds ascending rows, so it is
+  // one run (SequenceView::contiguous) exactly when its ends are
+  // size - 1 apart; a group that had to be sorted is not one run.
   const SequenceOrder order(*table, seq_cols);
   auto less = [&order](int64_t a, int64_t b) { return order(a, b); };
   out.clusters_.reserve(groups.size());
   for (auto& group : groups) {
+    bool contiguous = false;
     if (!std::is_sorted(group.begin(), group.end(), less)) {
       std::stable_sort(group.begin(), group.end(), less);
+    } else {
+      contiguous = group.back() - group.front() + 1 ==
+                   static_cast<int64_t>(group.size());
     }
-    out.clusters_.emplace_back(table, std::move(group));
+    out.clusters_.push_back(SequenceView(table, std::move(group), contiguous));
   }
   return out;
 }

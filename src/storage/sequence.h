@@ -16,23 +16,30 @@ class SequenceView {
  public:
   /// Owning form: the view keeps its own row-index vector.
   SequenceView(const Table* table, std::vector<int64_t> rows)
-      : table_(table), owned_rows_(std::move(rows)), rows_(&owned_rows_) {}
+      : table_(table),
+        owned_rows_(std::move(rows)),
+        rows_(&owned_rows_),
+        contiguous_(IsOneRun(owned_rows_)) {}
 
   /// Borrowing form: `rows` must outlive the view (used by the
   /// streaming matcher, whose index grows with every push).  Position 0
   /// is `rows[first]`: a streaming cursor that joined mid-stream sees
-  /// nothing before its floor.
+  /// nothing before its floor.  Never contiguous(): the index may
+  /// still grow.
   SequenceView(const Table* table, const std::vector<int64_t>* rows,
                int64_t first = 0)
       : table_(table), rows_(rows), first_(first) {}
 
   SequenceView(const SequenceView& o)
-      : table_(o.table_), owned_rows_(o.owned_rows_), first_(o.first_) {
+      : table_(o.table_),
+        owned_rows_(o.owned_rows_),
+        first_(o.first_),
+        contiguous_(o.contiguous_) {
     rows_ = o.rows_ == &o.owned_rows_ ? &owned_rows_ : o.rows_;
   }
   SequenceView(SequenceView&& o) noexcept
       : table_(o.table_), owned_rows_(std::move(o.owned_rows_)),
-        first_(o.first_) {
+        first_(o.first_), contiguous_(o.contiguous_) {
     rows_ = o.rows_ == &o.owned_rows_ ? &owned_rows_ : o.rows_;
   }
   SequenceView& operator=(const SequenceView&) = delete;
@@ -59,13 +66,40 @@ class SequenceView {
   /// this once per block instead of indexing through at() per cell).
   const int64_t* row_data() const { return rows_->data() + first_; }
 
+  /// True when position p is table row row_index(0) + p for every
+  /// position (one ascending run, fixed at construction; an empty
+  /// owning view counts).  The vectorized kernels then read a block's
+  /// cells straight from the column arrays instead of through
+  /// row_data().
+  bool contiguous() const { return contiguous_; }
+
   const Table& table() const { return *table_; }
 
  private:
+  friend class ClusteredSequence;
+
+  /// Owning form for a caller that already knows whether `rows` is one
+  /// ascending run (ClusteredSequence::Build learns it from its own
+  /// sortedness pass), so construction does not walk the rows again.
+  SequenceView(const Table* table, std::vector<int64_t> rows,
+               bool contiguous)
+      : table_(table),
+        owned_rows_(std::move(rows)),
+        rows_(&owned_rows_),
+        contiguous_(contiguous) {}
+
+  static bool IsOneRun(const std::vector<int64_t>& rows) {
+    for (size_t i = 1; i < rows.size(); ++i) {
+      if (rows[i] != rows[0] + static_cast<int64_t>(i)) return false;
+    }
+    return true;
+  }
+
   const Table* table_;  // not owned
   std::vector<int64_t> owned_rows_;
   const std::vector<int64_t>* rows_;
   int64_t first_ = 0;  // index into *rows_ of position 0
+  bool contiguous_ = false;
 };
 
 /// Result of applying CLUSTER BY + SEQUENCE BY to a table: one

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "engine/executor.h"
 #include "storage/csv.h"
 #include "test_util.h"
@@ -196,6 +198,60 @@ TEST(Executor, EmptyTableYieldsNoRows) {
   Table t(QuoteSchema());
   QueryResult r = RunBoth(t, PaperExampleQuery(1));
   EXPECT_EQ(r.output.num_rows(), 0);
+}
+
+// The same rows stored cluster by cluster (every cluster one contiguous
+// run of rows, so the kernels read clean blocks straight from the
+// columns) and round-robin interleaved (every block gathers through the
+// row index) must give the same rows and the same search counters.
+TEST(Executor, ContiguousAndInterleavedLayoutsAgree) {
+  const Date d0 = *Date::Parse("1990-01-02");
+  std::vector<Table> instruments;
+  int k = 0;
+  for (const char* name : {"AAA", "BBB", "CCC"}) {
+    std::vector<double> prices =
+        SeriesWithPlantedDoubleBottoms(2 + k, 11 + k);
+    prices.resize(prices.size() - 7 * k);  // clusters of unequal length
+    instruments.push_back(PricesToQuoteTable(name, d0, prices));
+    ++k;
+  }
+  Table contiguous(QuoteSchema()), interleaved(QuoteSchema());
+  int64_t longest = 0;
+  for (const Table& t : instruments) {
+    longest = std::max(longest, t.num_rows());
+    for (int64_t r = 0; r < t.num_rows(); ++r) {
+      ASSERT_TRUE(contiguous.AppendRow(t.GetRow(r)).ok());
+    }
+  }
+  for (int64_t r = 0; r < longest; ++r) {
+    for (const Table& t : instruments) {
+      if (r < t.num_rows()) {
+        ASSERT_TRUE(interleaved.AppendRow(t.GetRow(r)).ok());
+      }
+    }
+  }
+  for (int example : {1, 10}) {
+    auto a = QueryExecutor::Execute(contiguous, PaperExampleQuery(example));
+    auto b = QueryExecutor::Execute(interleaved, PaperExampleQuery(example));
+    ASSERT_TRUE(a.ok()) << a.status();
+    ASSERT_TRUE(b.ok()) << b.status();
+    EXPECT_EQ(a->stats.evaluations, b->stats.evaluations) << example;
+    EXPECT_EQ(a->stats.presat_skips, b->stats.presat_skips) << example;
+    EXPECT_EQ(a->stats.jumps, b->stats.jumps) << example;
+    EXPECT_EQ(a->stats.matches, b->stats.matches) << example;
+    ASSERT_EQ(a->output.num_rows(), b->output.num_rows()) << example;
+    for (int64_t r = 0; r < a->output.num_rows(); ++r) {
+      const Row ra = a->output.GetRow(r), rb = b->output.GetRow(r);
+      ASSERT_EQ(ra.size(), rb.size());
+      for (size_t c = 0; c < ra.size(); ++c) {
+        EXPECT_TRUE(ra[c].StructurallyEquals(rb[c]))
+            << "example " << example << " row " << r << " col " << c;
+      }
+    }
+  }
+  EXPECT_GT(QueryExecutor::Execute(contiguous, PaperExampleQuery(10))
+                ->stats.matches,
+            0);
 }
 
 }  // namespace

@@ -525,6 +525,90 @@ TEST(ClusteredSequence, DoubleKeysGroupByValue) {
   ExpectSameClusters(built, ReferenceBuild(t, {0}, {}), "double keys");
 }
 
+// SequenceView::contiguous(): one ascending run of table rows, decided
+// once at construction, is what lets the kernels read a block's cells
+// straight from the column arrays.
+TEST(SequenceViewContiguity, InOrderClustersAreContiguous) {
+  Table t(QuoteSchemaLocal());
+  for (const char* d : {"1999-01-25", "1999-01-26", "1999-01-27"}) {
+    ASSERT_TRUE(t.AppendRow(QuoteRow("IBM", d, 80)).ok());
+  }
+  for (const char* d : {"1999-01-25", "1999-01-26"}) {
+    ASSERT_TRUE(t.AppendRow(QuoteRow("INTC", d, 60)).ok());
+  }
+  auto cs = ClusteredSequence::Build(&t, {"name"}, {"date"});
+  ASSERT_TRUE(cs.ok()) << cs.status();
+  ASSERT_EQ(cs->num_clusters(), 2);
+  EXPECT_TRUE(cs->cluster(0).contiguous());
+  EXPECT_TRUE(cs->cluster(1).contiguous());
+  EXPECT_EQ(cs->cluster(1).row_index(0), 3);
+}
+
+TEST(SequenceViewContiguity, SortedOrInterleavedClustersAreNot) {
+  Table t(QuoteSchemaLocal());
+  // IBM arrives out of date order (the build sorts it); INTC in order
+  // but interleaved with IBM.
+  ASSERT_TRUE(t.AppendRow(QuoteRow("IBM", "1999-01-27", 84)).ok());
+  ASSERT_TRUE(t.AppendRow(QuoteRow("INTC", "1999-01-25", 60)).ok());
+  ASSERT_TRUE(t.AppendRow(QuoteRow("IBM", "1999-01-26", 81)).ok());
+  ASSERT_TRUE(t.AppendRow(QuoteRow("INTC", "1999-01-26", 61)).ok());
+  auto cs = ClusteredSequence::Build(&t, {"name"}, {"date"});
+  ASSERT_TRUE(cs.ok()) << cs.status();
+  ASSERT_EQ(cs->num_clusters(), 2);
+  EXPECT_EQ(cs->cluster(0).row_index(0), 2);  // sorted: rows {2, 0}
+  EXPECT_FALSE(cs->cluster(0).contiguous());
+  EXPECT_FALSE(cs->cluster(1).contiguous());  // rows {1, 3}
+
+  // A descending run the build must reverse.
+  Table down(QuoteSchemaLocal());
+  for (const char* d : {"1999-01-27", "1999-01-26", "1999-01-25"}) {
+    ASSERT_TRUE(down.AppendRow(QuoteRow("A", d, 1)).ok());
+  }
+  auto rev = ClusteredSequence::Build(&down, {"name"}, {"date"});
+  ASSERT_TRUE(rev.ok()) << rev.status();
+  EXPECT_FALSE(rev->cluster(0).contiguous());
+}
+
+TEST(SequenceViewContiguity, BorrowingViewsNeverAre) {
+  Table t(QuoteSchemaLocal());
+  for (const char* d : {"1999-01-25", "1999-01-26", "1999-01-27"}) {
+    ASSERT_TRUE(t.AppendRow(QuoteRow("A", d, 1)).ok());
+  }
+  const std::vector<int64_t> rows = {0, 1, 2};
+  EXPECT_TRUE(SequenceView(&t, rows).contiguous());
+  EXPECT_FALSE(SequenceView(&t, &rows).contiguous());
+  EXPECT_FALSE(SequenceView(&t, &rows, 1).contiguous());
+  EXPECT_TRUE(SequenceView(&t, std::vector<int64_t>{}).contiguous());
+  EXPECT_TRUE(SequenceView(&t, std::vector<int64_t>{2}).contiguous());
+  EXPECT_FALSE(SequenceView(&t, std::vector<int64_t>{0, 2}).contiguous());
+  EXPECT_FALSE(SequenceView(&t, std::vector<int64_t>{1, 0}).contiguous());
+}
+
+TEST(SequenceViewContiguity, CopiesAndMovesKeepTheFlag) {
+  Table t(QuoteSchemaLocal());
+  for (const char* d : {"1999-01-25", "1999-01-26", "1999-01-27"}) {
+    ASSERT_TRUE(t.AppendRow(QuoteRow("A", d, 1)).ok());
+  }
+  const std::vector<int64_t> rows = {0, 1, 2};
+  SequenceView owning(&t, std::vector<int64_t>{1, 2});
+  SequenceView scattered(&t, std::vector<int64_t>{2, 0});
+  SequenceView borrowing(&t, &rows);
+  const SequenceView owning_copy(owning);
+  const SequenceView scattered_copy(scattered);
+  const SequenceView borrowing_copy(borrowing);
+  EXPECT_TRUE(owning_copy.contiguous());
+  EXPECT_EQ(owning_copy.row_index(0), 1);
+  EXPECT_FALSE(scattered_copy.contiguous());
+  EXPECT_FALSE(borrowing_copy.contiguous());
+  const SequenceView owning_moved(std::move(owning));
+  const SequenceView scattered_moved(std::move(scattered));
+  const SequenceView borrowing_moved(std::move(borrowing));
+  EXPECT_TRUE(owning_moved.contiguous());
+  EXPECT_EQ(owning_moved.row_index(1), 2);
+  EXPECT_FALSE(scattered_moved.contiguous());
+  EXPECT_FALSE(borrowing_moved.contiguous());
+}
+
 TEST(ClusterKey, EncodesEqualExactlyWhenValuesCompareEqual) {
   std::mt19937_64 rng(11);
   for (TypeKind kind : {TypeKind::kString, TypeKind::kInt64,
